@@ -5,7 +5,9 @@ mu(i) (odd i >= 7) is built so that its ascent graph is a double fork: a path
 with one pendant hung on the second and one on the penultimate path vertex.
 Double forks of distinct sizes are mutually non-embeddable, which certifies
 incomparability of the mu's in one direction; the direct pairwise containment
-check is the default verification route.
+check is the default verification route.  Both graphs are `PermGraph` values
+(`Tree` is another name for it).  Members of an avoidance class come from the
+enumeration engine, `enumeration.avoider_levels`.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+from . import enumeration as EN
 from . import perm as P
 from .errors import InvalidIndex, NotATree
 from .perm import Perm
@@ -28,10 +31,7 @@ class PermGraph:
     edges: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class Tree:
-    n: int
-    edges: frozenset[tuple[int, int]]
+Tree = PermGraph
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,7 @@ class ClosureOf:
 
 ClassSpec = AvoidanceBasis | ClosureOf
 
-SHORT_BASIS = tuple(
-    Perm.from_text(t) for t in ("123", "3214", "2143", "15432")
-)
+SHORT_BASIS = EN.QUAD_BASIS
 
 
 def mu(i: int) -> Perm:
@@ -73,7 +71,7 @@ def perm_graph(p: Perm) -> PermGraph:
     return PermGraph(n, edges)
 
 
-def double_fork(i: int) -> Tree:
+def double_fork(i: int) -> PermGraph:
     """Path on i-2 vertices with pendants at the second and penultimate
     path vertices; i vertices total."""
     if i < 6:
@@ -82,7 +80,7 @@ def double_fork(i: int) -> Tree:
     edges = {(j, j + 1) for j in range(1, path_len)}
     edges.add((2, path_len + 1))
     edges.add((path_len - 1, path_len + 2))
-    return Tree(i, frozenset(tuple(sorted(e)) for e in edges))
+    return PermGraph(i, frozenset(tuple(sorted(e)) for e in edges))
 
 
 def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
@@ -95,7 +93,7 @@ def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]
     return adj
 
 
-def is_tree(g: PermGraph | Tree) -> bool:
+def is_tree(g: PermGraph) -> bool:
     n, edges = g.n, list(g.edges)
     if n == 0 or len(edges) != n - 1:
         return False
@@ -137,7 +135,7 @@ def _encode(adj: dict[int, list[int]], root: int, parent: int) -> tuple:
     )
 
 
-def tree_canonical(g: PermGraph | Tree) -> tuple:
+def tree_canonical(g: PermGraph) -> tuple:
     """Canonical form of an unlabeled tree: rooted encodings at its center(s)."""
     if not is_tree(g):
         raise NotATree(f"not a tree: {g.n} vertices, {len(g.edges)} edges")
@@ -145,7 +143,7 @@ def tree_canonical(g: PermGraph | Tree) -> tuple:
     return tuple(sorted(_encode(adj, c, 0) for c in _centers(g.n, adj)))
 
 
-def tree_isomorphic(a: PermGraph | Tree, b: PermGraph | Tree) -> bool:
+def tree_isomorphic(a: PermGraph, b: PermGraph) -> bool:
     return tree_canonical(a) == tree_canonical(b)
 
 
@@ -206,12 +204,7 @@ def normalize_generators(perms: Iterable[Perm]) -> tuple[Perm, ...]:
 def members(c: ClassSpec, n: int) -> set[Perm]:
     """Length-n members of the class."""
     if isinstance(c, AvoidanceBasis):
-        basis = normalize_basis(c.perms)
-        return {
-            p
-            for p in P.all_perms(n)
-            if not any(P.contains(b, p) for b in basis)
-        }
+        return EN.enumerate_avoiders(c.perms, n)
     gens = normalize_generators(c.perms)
     return closure_members(gens, n)
 
@@ -219,34 +212,22 @@ def members(c: ClassSpec, n: int) -> set[Perm]:
 def basis_up_to(c: ClassSpec, max_len: int) -> set[Perm]:
     """All containment-minimal non-members of length <= max_len.
 
-    Candidates at length m are one-point extensions (inserting the maximum
-    value) of length-(m-1) members: every minimal non-member arises this way
-    because all of its one-point deletions are members.
+    For Av(B) these are the minimal elements of B: a minimal non-member
+    contains some b in B, which is a non-member too, so the two are equal.
+    For a closure, deleting the maximum of a minimal non-member leaves a
+    member, so the candidates are one-point extensions of the level below;
+    an empty class has the empty permutation as its only minimal non-member.
     """
     if isinstance(c, AvoidanceBasis):
-        c = AvoidanceBasis(normalize_basis(c.perms))
-        level_members = {m: members(c, m) for m in range(1, max_len + 1)}
-    else:
-        c = ClosureOf(normalize_generators(c.perms))
-        by_len = _closure_by_length(c.perms, 0)
-        level_members = {
-            m: set(by_len.get(m, set())) for m in range(1, max_len + 1)
-        }
+        return set(normalize_basis(b for b in c.perms if len(b) <= max_len))
+    by_len = _closure_by_length(normalize_generators(c.perms), 0)
     basis: set[Perm] = set()
-    prev = {P.EMPTY}
-    for m in range(1, max_len + 1):
-        mem = level_members[m]
-        candidates: set[Perm] = set()
-        for p in prev:
-            for pos in range(len(p) + 1):
-                candidates.add(
-                    Perm(p.values[:pos] + (m,) + p.values[pos:])
-                )
-        below = level_members.get(m - 1, set()) if m > 1 else {P.EMPTY}
-        for cand in candidates:
-            if cand in mem:
-                continue
-            if all(d in below for d in P.deletions(cand)):
-                basis.add(cand)
-        prev = mem
+    candidates: Iterable[Perm] = (P.EMPTY,)
+    below: set[Perm] = set()
+    for m in range(max_len + 1):
+        level = by_len.get(m, set())
+        basis.update(
+            q for q in candidates if q not in level and P.deletions(q) <= below
+        )
+        candidates, below = EN.one_point_extensions(level, m + 1), level
     return basis

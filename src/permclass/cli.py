@@ -45,6 +45,19 @@ def _parse_mu_range(text: str) -> list[int]:
     return indices
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, with exit code 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _emit(lines: list[str], output: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if output:
@@ -180,7 +193,7 @@ def _cmd_growth(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="permclass",
         description="Permutation classes: containment, antichains, enumeration, growth.",
     )
@@ -188,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("count", help="count avoiders of a basis")
     pc.add_argument("--avoid", required=True, help="basis permutations, separated by --sep")
-    pc.add_argument("--max-n", type=int, required=True, dest="max_n")
+    pc.add_argument("--max-n", type=_positive_int, required=True, dest="max_n")
     pc.add_argument("--format", choices=("table", "json", "csv", "bfile"), default="table")
     pc.add_argument("--output", default=None)
     pc.add_argument("--sep", default=",")
@@ -222,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("basis", help="minimal non-members of a closure class")
     pb.add_argument("--closure-of", required=True, dest="closure_of")
-    pb.add_argument("--max-len", type=int, required=True, dest="max_len")
+    pb.add_argument("--max-len", type=_positive_int, required=True, dest="max_len")
     pb.add_argument("--sep", default=",")
     pb.set_defaults(func=_cmd_basis)
 

@@ -1,17 +1,21 @@
 """Exact enumeration of avoidance classes and C-finite sequence machinery.
 
-Counting is done with Python's arbitrary-precision integers throughout; the
-level sets are built by one-point extensions (insert the new maximum), which
-is sound because avoidance classes are downward closed.  The five-state
-insertion machine is hard-wired to the quadruple basis {123, 3214, 2143,
-15432} and is cross-validated against the generic enumerator in the tests.
+Counting is done with Python's arbitrary-precision integers throughout.  One
+engine, `avoider_levels`, builds level n >= 0 of an avoidance class from the
+one-point extensions (insert the new maximum) of level n - 1, which is sound
+because avoidance classes are downward closed; level 0 is {()} unless () is in
+the basis.  The five-state insertion machine is hard-wired to the quadruple
+basis {123, 3214, 2143, 15432} and is cross-validated against the generic
+enumerator in the tests.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from itertools import count, islice
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import perm as P
 from .errors import InvalidSequence, NeedMoreTerms, UseSeedVector
@@ -22,38 +26,40 @@ TRIPLE_BASIS = QUAD_BASIS[:3]
 PAIR_BASIS = QUAD_BASIS[:2]
 
 
-def enumerate_avoiders(basis: Iterable[Perm], n: int) -> set[Perm]:
-    """All length-n permutations avoiding every basis element."""
+def one_point_extensions(level: Iterable[Perm], m: int) -> Iterator[Perm]:
+    """Every insertion of the value m into each member of level (length m - 1).
+
+    Deleting m from a child gives back its parent and the insertion position,
+    so no child is yielded twice and callers need no set to drop repeats.
+    """
+    for p in level:
+        vals = p.values
+        for pos in range(len(vals) + 1):
+            yield Perm(vals[:pos] + (m,) + vals[pos:])
+
+
+def avoider_levels(basis: Iterable[Perm]) -> Iterator[list[Perm]]:
+    """The avoiders of the basis as one list per length 0, 1, 2, ... without
+    end; lists suffice because one-point extensions never repeat."""
     basis = sorted(set(basis))
-    level: set[Perm] = {P.EMPTY}
-    for m in range(1, n + 1):
-        nxt: set[Perm] = set()
-        for p in level:
-            for pos in range(len(p) + 1):
-                cand = Perm(p.values[:pos] + (m,) + p.values[pos:])
-                if not any(P.contains(b, cand) for b in basis):
-                    nxt.add(cand)
-        level = nxt
-        if not level:
-            break
-    return level if n >= 1 else set()
+    level: Iterable[Perm] = (P.EMPTY,)
+    for m in count(1):
+        level = [q for q in level if not any(P.contains(b, q) for b in basis)]
+        yield level
+        level = one_point_extensions(level, m)
+
+
+def enumerate_avoiders(basis: Iterable[Perm], n: int) -> set[Perm]:
+    """All length-n permutations avoiding every basis element (empty for
+    n < 0)."""
+    return set(next(islice(avoider_levels(basis), n, None))) if n >= 0 else set()
 
 
 def count_avoiders(basis: Iterable[Perm], max_n: int) -> list[int]:
-    """|S_n(basis)| for n = 1..max_n (index 0 holds n = 1)."""
-    basis = sorted(set(basis))
-    counts: list[int] = []
-    level: set[Perm] = {P.EMPTY}
-    for m in range(1, max_n + 1):
-        nxt: set[Perm] = set()
-        for p in level:
-            for pos in range(len(p) + 1):
-                cand = Perm(p.values[:pos] + (m,) + p.values[pos:])
-                if not any(P.contains(b, cand) for b in basis):
-                    nxt.add(cand)
-        level = nxt
-        counts.append(len(level))
-    return counts
+    """|S_n(basis)| for n = 1..max_n (index 0 holds n = 1; empty for
+    max_n < 1)."""
+    levels = islice(avoider_levels(basis), 1, None)
+    return [len(level) for _, level in zip(range(max_n), levels)]
 
 
 class StateVector(NamedTuple):
@@ -222,9 +228,7 @@ def gf_from_recurrence(r: LinearRecurrence) -> RationalGF:
     """Generating function sum_{n>=1} u_n x^n of the recurrence's sequence."""
     d = r.order
     den_frac = [Fraction(1)] + [-c for c in r.coeffs]
-    scale = 1
-    for c in den_frac:
-        scale = scale * c.denominator // _gcd(scale, c.denominator)
+    scale = math.lcm(*(c.denominator for c in den_frac))
     den = [int(c * scale) for c in den_frac]
     u = [0] + list(r.initial)  # u[0] = 0: series starts at x^1
     num = []
@@ -233,12 +237,6 @@ def gf_from_recurrence(r: LinearRecurrence) -> RationalGF:
     while len(num) > 1 and num[-1] == 0:
         num.pop()
     return RationalGF(tuple(num), tuple(den))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def to_bfile_lines(seq: Sequence[int]) -> list[str]:

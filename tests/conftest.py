@@ -1,6 +1,10 @@
+from functools import cache
+
 from hypothesis import strategies as st
 
 from permclass import Perm
+from permclass.enumeration import PAIR_BASIS, QUAD_BASIS
+from permclass.perm import all_perms, contains, deletions
 
 
 def perms(min_size=0, max_size=6):
@@ -18,3 +22,41 @@ def __rank(seq):
 
 def perms_of(n):
     return st.permutations(range(1, n + 1)).map(lambda v: Perm(tuple(v)))
+
+
+def _perms(text):
+    return tuple(Perm.from_text(t) for t in text.split(","))
+
+
+# Bases the fast enumeration and basis code is checked on against brute force.
+ORACLE_BASES = {
+    "none": (),
+    "empty-perm": (Perm(()),),
+    "1": _perms("1"),
+    "12": _perms("12"),
+    "123": _perms("123"),
+    "132,4321": _perms("132,4321"),
+    "pair": PAIR_BASIS,
+    "quad": QUAD_BASIS,
+}
+
+
+@cache
+def brute_avoiders(basis, n):
+    """Length-n permutations avoiding every element of basis, from all n!."""
+    return frozenset(
+        q for q in all_perms(n) if not any(contains(b, q) for b in basis)
+    )
+
+
+def brute_minimal_non_members(level, max_len):
+    """Minimal non-members of length <= max_len of the class whose length-n
+    members are level(n), found by trying every permutation."""
+    found, below = set(), frozenset()
+    for n in range(max_len + 1):
+        inside = level(n)
+        found.update(
+            q for q in all_perms(n) if q not in inside and deletions(q) <= below
+        )
+        below = inside
+    return found

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import ORACLE_BASES, brute_avoiders, brute_minimal_non_members
 from permclass import Perm
 from permclass.antichain import (
     AvoidanceBasis,
@@ -236,3 +237,28 @@ class TestBasis:
                 if not any(contains(b, q) for b in basis)
             }
             assert got == want
+
+
+@pytest.mark.parametrize("max_len", range(7))
+class TestBasisOracle:
+    @pytest.mark.parametrize(
+        "basis",
+        [*ORACLE_BASES.values(), (p("123"), p("12"))],
+        ids=[*ORACLE_BASES.keys(), "123,12"],
+    )
+    def test_avoidance_basis(self, basis, max_len):
+        want = brute_minimal_non_members(
+            lambda n: brute_avoiders(basis, n), max_len
+        )
+        assert basis_up_to(AvoidanceBasis(basis), max_len) == want
+
+    @pytest.mark.parametrize(
+        "gens", [(), (p("2413"),), (p("2413"), p("3142")), (mu(7),)],
+        ids=["none", "2413", "2413,3142", "mu7"],
+    )
+    def test_closure(self, gens, max_len):
+        def level(n):
+            return {q for q in all_perms(n) if any(contains(q, g) for g in gens)}
+
+        want = brute_minimal_non_members(level, max_len)
+        assert basis_up_to(ClosureOf(gens), max_len) == want

@@ -166,6 +166,15 @@ class TestExitCodes:
 
     def test_usage_error(self, capsys):
         assert run(capsys, "count", "--max-n", "3")[0] == 2
+        for argv in (
+            ("count", "--avoid", "123", "--max-n", "-3"),
+            ("count", "--avoid", "123", "--max-n", "0"),
+            ("basis", "--closure-of", "2413", "--max-len", "0"),
+            ("basis", "--closure-of", "2413", "--max-len", "-1"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1 and "error:" in err
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ORACLE_BASES, brute_avoiders
 from permclass import Perm
+from permclass.antichain import AvoidanceBasis, members
 from permclass.enumeration import (
     LinearRecurrence,
     PAIR_BASIS,
@@ -65,6 +67,26 @@ class TestEnumerate:
         for n in range(2, 11):
             for q in enumerate_avoiders(QUAD_BASIS, n):
                 assert inverse(q)[n - 1] <= 3
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("basis", ORACLE_BASES.values(), ids=ORACLE_BASES.keys())
+class TestEnumerateOracle:
+    def test_enumerate_avoiders(self, basis, n):
+        assert enumerate_avoiders(basis, n) == brute_avoiders(basis, n)
+
+    def test_count_avoiders(self, basis, n):
+        want = [len(brute_avoiders(basis, k)) for k in range(1, n + 1)]
+        assert count_avoiders(basis, n) == want
+
+    def test_members(self, basis, n):
+        assert members(AvoidanceBasis(basis), n) == brute_avoiders(basis, n)
+
+
+def test_negative_lengths_are_empty():
+    assert enumerate_avoiders(QUAD_BASIS, -1) == set()
+    assert members(AvoidanceBasis(QUAD_BASIS), -1) == set()
+    assert count_avoiders(QUAD_BASIS, -3) == []
 
 
 class TestCounts:
