@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import antichain as AC
 from . import enumeration as EN
@@ -34,11 +33,12 @@ def _parse_perm_list(text: str, sep: str) -> list[Perm]:
 
 
 def _parse_mu_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    lo_s, dots, hi_s = text.partition("..")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if dots else lo
+    except ValueError:
+        raise InvalidIndex(f"expected an index or a range lo..hi, got {text!r}") from None
     indices = [i for i in range(lo, hi + 1) if i % 2 == 1]
     if not indices or lo < 7:
         raise InvalidIndex(f"no valid odd indices >= 7 in {text!r}")
@@ -178,11 +178,12 @@ def _cmd_growth(args) -> int:
     if args.alpha is not None:
         est = GR.alpha(args.alpha, args.tol)
     else:
-        coeffs = [int(t) for t in args.recurrence.split(",")]
-        rec = EN.LinearRecurrence(
-            tuple(Fraction(c) for c in coeffs), tuple([1] * len(coeffs))
-        )
-        est = GR.dominant_root(GR.char_poly(rec), args.tol)
+        try:
+            coeffs = [int(t) for t in args.recurrence.split(",")]
+        except ValueError:
+            raise InvalidSequence(f"bad coefficients: {args.recurrence!r}") from None
+        poly = GR.IntPolynomial((1,) + tuple(-c for c in coeffs))
+        est = GR.dominant_root(poly, args.tol)
     print(f"{est.value:.5f}")
     print(
         f"bracket [{float(est.bracket[0]):.12f}, {float(est.bracket[1]):.12f}], "
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pf = sub.add_parser("fit", help="fit a linear recurrence to a sequence")
     pf.add_argument("--seq", required=True, help="file path or inline integers")
-    pf.add_argument("--max-order", type=int, required=True, dest="max_order")
+    pf.add_argument("--max-order", type=_positive_int, required=True, dest="max_order")
     pf.set_defaults(func=_cmd_fit)
 
     pg = sub.add_parser("growth", help="dominant root of a recurrence or alpha_i")

@@ -251,12 +251,20 @@ def parse_sequence_text(text: str) -> list[int]:
     if not s:
         raise InvalidSequence("empty sequence input")
     if s.startswith("["):
-        vals = json.loads(s)
-        return [int(v) for v in vals]
-    lines = [ln for ln in s.splitlines() if ln.strip() and not ln.startswith("#")]
-    if all(len(ln.split()) == 2 for ln in lines) and len(lines) > 1:
-        pairs = [(int(a), int(b)) for a, b in (ln.split() for ln in lines)]
-        if [a for a, _ in pairs] == list(range(pairs[0][0], pairs[0][0] + len(pairs))):
-            return [b for _, b in pairs]
-    tokens = s.replace(",", " ").split()
-    return [int(t) for t in tokens]
+        try:
+            vals = json.loads(s)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidSequence(f"bad JSON sequence: {exc}") from None
+        if any(type(v) is not int for v in vals):  # rejects floats and bools
+            raise InvalidSequence(f"JSON sequence entries must be integers: {s!r}")
+        return vals
+    try:
+        lines = [ln for ln in s.splitlines() if ln.strip() and not ln.startswith("#")]
+        if all(len(ln.split()) == 2 for ln in lines) and len(lines) > 1:
+            pairs = [(int(a), int(b)) for a, b in (ln.split() for ln in lines)]
+            if [a for a, _ in pairs] == list(range(pairs[0][0], pairs[0][0] + len(pairs))):
+                return [b for _, b in pairs]
+        tokens = s.replace(",", " ").split()
+        return [int(t) for t in tokens]
+    except ValueError as exc:
+        raise InvalidSequence(f"not an integer sequence: {exc}") from None

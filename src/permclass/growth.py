@@ -7,6 +7,7 @@ sign.  Degrees here are tiny; correctness beats speed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -59,8 +60,8 @@ def dominant_root(p: IntPolynomial, tol: float = 1e-9) -> RootEstimate:
     polynomials of interest there is a single real root above 1, so the grid
     scan is a formality recorded as such.
     """
-    if tol <= 0:
-        raise Unsupported(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise Unsupported(f"tolerance must be positive and finite, got {tol}")
     bound = Fraction(1 + max(abs(c) for c in p.coeffs))
     lo = hi = None
     step = (bound - 1) / _GRID_STEPS

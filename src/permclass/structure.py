@@ -2,15 +2,13 @@
 
 A permutation splits uniquely into up-blocks (maximal summands under the
 direct sum) and dually into down-blocks under the skew sum.  From these we
-get the maximal block sizes h+, h-, the longest-alternating statistic al, and
-the greedy interval statistic s_k.
+get the maximal block sizes h+, h-, the greedy interval statistic s_k, and
+the longest-alternating statistic al, which is computed in O(n^2) from runs
+above and below each value threshold, without any containment test.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterator
 
 from . import perm as P
 from .errors import EmptyInput, UseSegStatUnbounded
@@ -116,29 +114,24 @@ def is_alternating(p: Perm) -> bool:
     return min(odd) > max(even)
 
 
-def alternating_perms(m: int) -> Iterator[Perm]:
-    """All alternating permutations of length m (odd positions carry the top values)."""
-    hi_count = (m + 1) // 2
-    high = range(m - hi_count + 1, m + 1)
-    low = range(1, m - hi_count + 1)
-    for ho in permutations(high):
-        for lo in permutations(low):
-            vals = [0] * m
-            vals[0::2] = ho
-            vals[1::2] = lo
-            yield Perm(tuple(vals))
-
-
 def al(p: Perm) -> int:
-    """Maximum length of an alternating pattern of p or of its inverse."""
+    """Maximum length of an alternating pattern of p or of its inverse.
+
+    An alternating occurrence is exactly a subsequence whose entries alternate
+    above and at-or-below some threshold t, starting above (for t take its
+    largest even-position entry).  For a fixed t the longest one takes an entry
+    from each run of the word [v > t for v in values] after its leading lows,
+    so al is the largest such run count over t = 0..n-1, for p and its
+    inverse: O(n^2), with no containment test.
+    """
     if len(p) == 0:
         raise EmptyInput("al of the empty permutation")
-    pinv = P.inverse(p)
-    for m in range(len(p), 0, -1):
-        for a in alternating_perms(m):
-            if P.contains(a, p) or P.contains(a, pinv):
-                return m
-    raise AssertionError("unreachable: length 1 always matches")
+    best = 0
+    for values in (p.values, P.inverse(p).values):
+        for t in range(len(values)):
+            word = [False] + [v > t for v in values]  # leading lows start no run
+            best = max(best, sum(a != b for a, b in zip(word, word[1:])))
+    return best
 
 
 def in_small_block_class(p: Perm, k: int) -> bool:
@@ -178,12 +171,3 @@ def s_k(p: Perm, k: int):
         return UNBOUNDED
     return len(k_decomposition(p, k))
 
-
-@functools.lru_cache(maxsize=None)
-def _cached_al(values: tuple[int, ...]) -> int:
-    return al(Perm(values))
-
-
-def al_cached(p: Perm) -> int:
-    """Memoized al, for exhaustive sweeps over small lengths."""
-    return _cached_al(p.values)

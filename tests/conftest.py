@@ -1,9 +1,13 @@
 from functools import cache
+from itertools import permutations
+from typing import Iterator
 
 from hypothesis import strategies as st
 
 from permclass import Perm
+from permclass import perm as P
 from permclass.enumeration import PAIR_BASIS, QUAD_BASIS
+from permclass.errors import EmptyInput
 from permclass.perm import all_perms, contains, deletions
 
 
@@ -60,3 +64,29 @@ def brute_minimal_non_members(level, max_len):
         )
         below = inside
     return found
+
+
+def alternating_perms(m: int) -> Iterator[Perm]:
+    """All alternating permutations of length m (odd positions carry the top values)."""
+    hi_count = (m + 1) // 2
+    high = range(m - hi_count + 1, m + 1)
+    low = range(1, m - hi_count + 1)
+    for ho in permutations(high):
+        for lo in permutations(low):
+            vals = [0] * m
+            vals[0::2] = ho
+            vals[1::2] = lo
+            yield Perm(tuple(vals))
+
+
+def brute_al(p: Perm) -> int:
+    """al by trying every alternating permutation, longest first, against p
+    and its inverse."""
+    if len(p) == 0:
+        raise EmptyInput("al of the empty permutation")
+    pinv = P.inverse(p)
+    for m in range(len(p), 0, -1):
+        for a in alternating_perms(m):
+            if P.contains(a, p) or P.contains(a, pinv):
+                return m
+    raise AssertionError("unreachable: length 1 always matches")

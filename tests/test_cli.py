@@ -1,4 +1,9 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permclass.cli import main
 from permclass.enumeration import parse_sequence_text
@@ -171,6 +176,7 @@ class TestExitCodes:
             ("count", "--avoid", "123", "--max-n", "0"),
             ("basis", "--closure-of", "2413", "--max-len", "0"),
             ("basis", "--closure-of", "2413", "--max-len", "-1"),
+            ("fit", "--seq", "1,2,3,4", "--max-order", "-1"),
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
@@ -182,3 +188,33 @@ class TestExitCodes:
     def test_bad_mu_index(self, capsys):
         code, _, err = run(capsys, "mu", "4")
         assert code == 1 and "error" in err
+
+    def test_malformed_numbers(self, capsys):
+        for argv in (
+            ("mu", "x"),
+            ("mu", "9..x"),
+            ("antichain", "--mu", "x"),
+            ("growth", "--recurrence", "1,x"),
+            ("growth", "--recurrence", ","),
+            ("fit", "--seq", "[1,2", "--max-order", "1"),
+            ("fit", "--seq", "1,x", "--max-order", "1"),
+            ("fit", "--seq", "[1.5,2,3,4]", "--max-order", "1"),
+            ("growth", "--alpha", "5", "--tol", "nan"),
+            ("growth", "--alpha", "5", "--tol", "inf"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @given(st.text(alphabet="0123456789,.x-[] ", max_size=4))
+    @settings(deadline=None)
+    def test_fuzzed_numbers_exit_cleanly(self, text):
+        for argv in (
+            ["contains", text, "21"],
+            ["stats", text],
+            ["mu", text],
+            ["fit", "--seq", text, "--max-order", "1"],
+            ["growth", "--recurrence", text],
+        ):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2)

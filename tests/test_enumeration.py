@@ -26,7 +26,7 @@ from permclass.enumeration import (
     parse_sequence_text,
     to_bfile_lines,
 )
-from permclass.errors import NeedMoreTerms, UseSeedVector
+from permclass.errors import InvalidSequence, NeedMoreTerms, UseSeedVector
 from permclass.perm import all_perms, delete, inverse
 
 p = Perm.from_text
@@ -235,3 +235,9 @@ class TestSequenceIO:
         assert parse_sequence_text("1, 2, 5") == [1, 2, 5]
         assert parse_sequence_text("[1, 2, 5]") == [1, 2, 5]
         assert parse_sequence_text("1 2 5") == [1, 2, 5]
+
+    def test_malformed_text(self):
+        for text in ("[1,2", "[1.5,2]", "[true]", "[[1]]", "[" * 100_000,
+                     "1,x", "1 x\n2 3"):
+            with pytest.raises(InvalidSequence):
+                parse_sequence_text(text)

@@ -72,8 +72,9 @@ class TestDominantRoot:
             dominant_root(IntPolynomial((1, 0, 1)), 1e-9)
 
     def test_bad_tol(self):
-        with pytest.raises(Unsupported):
-            dominant_root(IntPolynomial((1, -2)), 0.0)
+        for tol in (0.0, -1e-9, float("nan"), float("inf")):
+            with pytest.raises(Unsupported):
+                dominant_root(IntPolynomial((1, -2)), tol)
 
 
 class TestAlpha:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from permclass import Perm
+from permclass.antichain import mu
 from permclass.errors import EmptyInput, UseSegStatUnbounded
 from permclass.perm import (
     EMPTY,
@@ -19,8 +20,6 @@ from permclass.perm import (
 from permclass.structure import (
     UNBOUNDED,
     al,
-    al_cached,
-    alternating_perms,
     down_decomposition,
     h_minus,
     h_plus,
@@ -33,7 +32,7 @@ from permclass.structure import (
     up_decomposition,
 )
 
-from conftest import perms
+from conftest import alternating_perms, brute_al, perms
 
 p = Perm.from_text
 
@@ -110,6 +109,15 @@ class TestAl:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             al(EMPTY)
+
+    def test_matches_brute_force_search(self):
+        for n in range(1, 7):
+            for q in all_perms(n):
+                assert al(q) == brute_al(q)
+
+    def test_mu_13(self):
+        # the brute-force search (brute_al) found this value once, in 150 s
+        assert al(mu(13)) == 6
 
     def test_brute_force_oracle(self):
         # oracle: scan all subsets of positions of p and of its inverse
@@ -210,7 +218,7 @@ class TestStructureLemmas:
         for n in range(2, 6):
             for tau in all_perms(n):
                 for sigma in deletions(tau):
-                    assert al_cached(tau) <= al_cached(sigma) + 2
+                    assert al(tau) <= al(sigma) + 2
                     for k in (2, 3):
                         assert s_k(tau, k) <= s_k(sigma, k) + 2
 
