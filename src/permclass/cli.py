@@ -32,15 +32,15 @@ def _parse_perm_list(text: str, sep: str) -> list[Perm]:
     return [_parse_perm(t) for t in items]
 
 
-def _parse_mu_range(text: str) -> list[int]:
+def _parse_mu_range(text: str) -> range:
     lo_s, dots, hi_s = text.partition("..")
     try:
         lo = int(lo_s)
         hi = int(hi_s) if dots else lo
     except ValueError:
         raise InvalidIndex(f"expected an index or a range lo..hi, got {text!r}") from None
-    indices = [i for i in range(lo, hi + 1) if i % 2 == 1]
-    if not indices or lo < 7:
+    indices = range(lo | 1, hi + 1, 2)
+    if lo < 7 or not indices:
         raise InvalidIndex(f"no valid odd indices >= 7 in {text!r}")
     return indices
 
@@ -126,7 +126,7 @@ def _cmd_mu(args) -> int:
 
 def _cmd_antichain(args) -> int:
     perms: list[Perm] = []
-    mu_indices: list[int] = []
+    mu_indices = range(0)
     if args.mu:
         mu_indices = _parse_mu_range(args.mu)
         perms.extend(AC.mu(i) for i in mu_indices)

@@ -1,10 +1,14 @@
 """Exact enumeration of avoidance classes and C-finite sequence machinery.
 
 Counting is done with Python's arbitrary-precision integers throughout.  One
-engine, `avoider_levels`, builds level n >= 0 of an avoidance class from the
-one-point extensions (insert the new maximum) of level n - 1, which is sound
+engine, `avoider_levels`, builds level n >= 1 of an avoidance class from the
+one-point extensions (insert the new maximum n) of level n - 1, which is sound
 because avoidance classes are downward closed; level 0 is {()} unless () is in
-the basis.  The five-state insertion machine is hard-wired to the quadruple
+the basis.  A level is a list of value tuples.  Its parents avoid the basis,
+so a child can only contain a basis element b through n, with b's maximum
+at the insertion position; that pinned search runs before the child is
+built, and `Perm`s are made only for the level `enumerate_avoiders` returns.
+The five-state insertion machine is hard-wired to the quadruple
 basis {123, 3214, 2143, 15432} and is cross-validated against the generic
 enumerator in the tests.
 """
@@ -38,21 +42,42 @@ def one_point_extensions(level: Iterable[Perm], m: int) -> Iterator[Perm]:
             yield Perm(vals[:pos] + (m,) + vals[pos:])
 
 
-def avoider_levels(basis: Iterable[Perm]) -> Iterator[list[Perm]]:
-    """The avoiders of the basis as one list per length 0, 1, 2, ... without
-    end; lists suffice because one-point extensions never repeat."""
-    basis = sorted(set(basis))
-    level: Iterable[Perm] = (P.EMPTY,)
+def avoider_levels(basis: Iterable[Perm]) -> Iterator[list[tuple[int, ...]]]:
+    """The avoiders of the basis, as lists of value tuples, one list per
+    length 0, 1, 2, ... without end.
+
+    A child of an avoider contains b only through its new maximum m, which
+    must then play b's maximum: so it is pruned iff the parent has an
+    occurrence of b minus its maximum with the entries left of that maximum
+    at indices < pos and the rest at indices >= pos (pos being where m goes).
+    Lists suffice because one-point extensions never repeat.
+    """
+    level: list[tuple[int, ...]] = [()]
+    pins = []
+    for b in basis:
+        if not b:  # every permutation contains ()
+            level = []
+            continue
+        top = b.values.index(len(b))
+        rest = b.values[:top] + b.values[top + 1:]
+        pins.append((P._bounding_refs(rest), top))
+    yield level
     for m in count(1):
-        level = [q for q in level if not any(P.contains(b, q) for b in basis)]
+        level = [
+            vals[:pos] + (m,) + vals[pos:]
+            for vals in level
+            for pos in range(m)
+            if not any(P._occurs_split(refs, vals, top, pos) for refs, top in pins)
+        ]
         yield level
-        level = one_point_extensions(level, m)
 
 
 def enumerate_avoiders(basis: Iterable[Perm], n: int) -> set[Perm]:
     """All length-n permutations avoiding every basis element (empty for
     n < 0)."""
-    return set(next(islice(avoider_levels(basis), n, None))) if n >= 0 else set()
+    if n < 0:
+        return set()
+    return {Perm(vals) for vals in next(islice(avoider_levels(basis), n, None))}
 
 
 def count_avoiders(basis: Iterable[Perm], max_n: int) -> list[int]:
@@ -264,7 +289,9 @@ def parse_sequence_text(text: str) -> list[int]:
             pairs = [(int(a), int(b)) for a, b in (ln.split() for ln in lines)]
             if [a for a, _ in pairs] == list(range(pairs[0][0], pairs[0][0] + len(pairs))):
                 return [b for _, b in pairs]
-        tokens = s.replace(",", " ").split()
-        return [int(t) for t in tokens]
+        fields = s.split(",")
+        if len(fields) > 1 and not all(f.strip() for f in fields):
+            raise ValueError(f"empty comma-separated field in {s!r}")
+        return [int(t) for f in fields for t in f.split()]
     except ValueError as exc:
         raise InvalidSequence(f"not an integer sequence: {exc}") from None

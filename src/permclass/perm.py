@@ -103,19 +103,14 @@ def deletions(p: Perm) -> set[Perm]:
     return {delete(p, i) for i in range(1, len(p) + 1)}
 
 
-def contains(pat: Perm, host: Perm) -> bool:
-    """True iff host has a subsequence order-isomorphic to pat.
+_Refs = tuple[list[int | None], list[int | None]]
 
-    Depth-first search over candidate positions; each candidate value must lie
-    strictly between the already-matched values that tightest-bound the
-    pattern value from below and above, which prunes hard on long hosts.
-    """
-    k, n = len(pat), len(host)
-    if k == 0:
-        return True
-    if k > n:
-        return False
-    pv, hv = pat.values, host.values
+
+def _bounding_refs(pv: Sequence[int]) -> _Refs:
+    """For each index j of the pattern values pv, the earlier index whose
+    value is the nearest below pv[j], and the one nearest above (None if
+    there is none)."""
+    k = len(pv)
     lo_ref: list[int | None] = [None] * k
     hi_ref: list[int | None] = [None] * k
     for j in range(k):
@@ -124,25 +119,52 @@ def contains(pat: Perm, host: Perm) -> bool:
                 lo_ref[j] = i
             if pv[i] > pv[j] and (hi_ref[j] is None or pv[i] < pv[hi_ref[j]]):
                 hi_ref[j] = i
+    return lo_ref, hi_ref
+
+
+def _occurs_split(refs: _Refs, hv: Sequence[int], split: int, pos: int) -> bool:
+    """True iff the host values hv (a permutation of 1..len(hv)) have an
+    occurrence of the pattern whose `_bounding_refs` are refs, with its first
+    split entries at indices < pos and the rest at indices >= pos.
+
+    Depth-first search over candidate positions; each candidate value must lie
+    strictly between the already-matched values that tightest-bound the
+    pattern value from below and above, which prunes hard on long hosts.
+    """
+    lo_ref, hi_ref = refs
+    k, n = len(lo_ref), len(hv)
     chosen = [0] * k
 
     def dfs(j: int, start: int) -> bool:
         if j == k:
             return True
-        for i in range(start, n - (k - j) + 1):
-            v = hv[i]
-            lo = lo_ref[j]
-            if lo is not None and v <= hv[chosen[lo]]:
-                continue
-            hi = hi_ref[j]
-            if hi is not None and v >= hv[chosen[hi]]:
-                continue
-            chosen[j] = i
-            if dfs(j + 1, i + 1):
-                return True
+        if j == split:
+            start = pos
+        stop = pos - split + j + 1 if j < split else n - k + j + 1
+        lo, hi = lo_ref[j], hi_ref[j]
+        floor = 0 if lo is None else hv[chosen[lo]]
+        ceiling = n + 1 if hi is None else hv[chosen[hi]]
+        for i in range(start, stop):
+            if floor < hv[i] < ceiling:
+                chosen[j] = i
+                if dfs(j + 1, i + 1):
+                    return True
         return False
 
     return dfs(0, 0)
+
+
+def contains(pat: Perm, host: Perm) -> bool:
+    """True iff host has a subsequence order-isomorphic to pat.
+
+    This is the split search `_occurs_split` with every pattern entry left
+    of pos = len(host); the enumeration engine runs the same search with
+    the split at the maximum of a basis element.
+    """
+    if len(pat) > len(host):
+        return False
+    return _occurs_split(_bounding_refs(pat.values), host.values,
+                         len(pat), len(host))
 
 
 def inverse(p: Perm) -> Perm:

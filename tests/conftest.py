@@ -1,5 +1,5 @@
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterator
 
 from hypothesis import strategies as st
@@ -8,7 +8,7 @@ from permclass import Perm
 from permclass import perm as P
 from permclass.enumeration import PAIR_BASIS, QUAD_BASIS
 from permclass.errors import EmptyInput
-from permclass.perm import all_perms, contains, deletions
+from permclass.perm import all_perms, contains, deletions, pattern_of
 
 
 def perms(min_size=0, max_size=6):
@@ -42,6 +42,8 @@ ORACLE_BASES = {
     "132,4321": _perms("132,4321"),
     "pair": PAIR_BASIS,
     "quad": QUAD_BASIS,
+    "2413,3142": _perms("2413,3142"),
+    "25314": _perms("25314"),
 }
 
 
@@ -50,6 +52,16 @@ def brute_avoiders(basis, n):
     """Length-n permutations avoiding every element of basis, from all n!."""
     return frozenset(
         q for q in all_perms(n) if not any(contains(b, q) for b in basis)
+    )
+
+
+def brute_contains_through_new_max(pat, q, pos):
+    """Whether q with the new maximum len(q) + 1 inserted at index pos has an
+    occurrence of pat that uses that index, from all index subsets."""
+    child = q.values[:pos] + (len(q) + 1,) + q.values[pos:]
+    return any(
+        pos in idx and pattern_of(tuple(child[i] for i in idx)) == pat
+        for idx in combinations(range(len(child)), len(pat))
     )
 
 

@@ -193,6 +193,7 @@ class TestExitCodes:
         for argv in (
             ("mu", "x"),
             ("mu", "9..x"),
+            ("mu", "5..10000000000"),
             ("antichain", "--mu", "x"),
             ("growth", "--recurrence", "1,x"),
             ("growth", "--recurrence", ","),

@@ -111,6 +111,9 @@ class TestCounts:
     def test_catalan(self):
         assert count_avoiders([p("123")], 7) == [catalan(n) for n in range(1, 8)]
 
+    def test_quad_13(self):
+        assert count_avoiders(QUAD_BASIS, 13)[-1] == abcde_counts(13)[-1] == 24656
+
     def test_basis_monotone(self):
         small = count_avoiders(PAIR_BASIS, 7)
         big = count_avoiders(QUAD_BASIS, 7)
@@ -238,6 +241,6 @@ class TestSequenceIO:
 
     def test_malformed_text(self):
         for text in ("[1,2", "[1.5,2]", "[true]", "[[1]]", "[" * 100_000,
-                     "1,x", "1 x\n2 3"):
+                     "1,x", "1 x\n2 3", "1,,2", "1, ,2", ",1"):
             with pytest.raises(InvalidSequence):
                 parse_sequence_text(text)

@@ -12,6 +12,8 @@ from permclass.errors import (
 )
 from permclass.perm import (
     EMPTY,
+    _bounding_refs,
+    _occurs_split,
     all_perms,
     complement,
     contains,
@@ -26,7 +28,7 @@ from permclass.perm import (
     skew_sum,
 )
 
-from conftest import perms, perms_of
+from conftest import brute_contains_through_new_max, perms, perms_of
 
 from permclass.antichain import mu
 
@@ -109,6 +111,17 @@ class TestContains:
     @given(perms())
     def test_reflexive(self, q):
         assert contains(q, q)
+
+    @given(perms(min_size=1, max_size=5), perms(max_size=8), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pinned_maximum_matches_oracle(self, pat, q, data):
+        # the enumeration engine's test: pat's maximum pinned to the new
+        # maximum inserted into q at pos
+        pos = data.draw(st.integers(0, len(q)))
+        top = pat.values.index(len(pat))
+        rest = pat.values[:top] + pat.values[top + 1:]
+        got = _occurs_split(_bounding_refs(rest), q.values, top, pos)
+        assert got == brute_contains_through_new_max(pat, q, pos)
 
 
 class TestSymmetries:
