@@ -7,7 +7,9 @@ Double forks of distinct sizes are mutually non-embeddable, which certifies
 incomparability of the mu's in one direction; the direct pairwise containment
 check is the default verification route.  Both graphs are `PermGraph` values
 (`Tree` is another name for it).  Members of an avoidance class come from the
-enumeration engine, `enumeration.avoider_levels`.
+enumeration engine, `enumeration.avoider_levels`.  A downward closure is held
+as sets of value tuples by length, filled in by one-point deletion
+(`perm._delete`); `Perm`s are made only for the sets handed back to callers.
 """
 from __future__ import annotations
 
@@ -153,30 +155,33 @@ def is_antichain(
     """Pairwise incomparability check; on failure returns a comparable pair
     (pattern, host) as witness."""
     items = sorted(set(ps))
+    # Sorted by (length, values): a later permutation is never inside an earlier one.
     for a, b in combinations(items, 2):
         if P.contains(a, b):
             return False, (a, b)
-        if P.contains(b, a):
-            return False, (b, a)
     return True, None
 
 
-def _closure_by_length(gens: Iterable[Perm], floor: int) -> dict[int, set[Perm]]:
-    by_len: dict[int, set[Perm]] = defaultdict(set)
+def _closure_by_length(
+    gens: Iterable[Perm], floor: int
+) -> dict[int, set[tuple[int, ...]]]:
+    """The downward closure of the generators as sets of value tuples keyed
+    by length, filled in from the longest generator down to length floor."""
+    by_len: dict[int, set[tuple[int, ...]]] = defaultdict(set)
     for g in gens:
-        by_len[len(g)].add(g)
+        by_len[len(g)].add(g.values)
     if not by_len:
         return by_len
     for length in range(max(by_len), floor, -1):
-        for p in by_len[length]:
-            by_len[length - 1] |= P.deletions(p)
+        below = by_len[length - 1]
+        for vals in by_len[length]:
+            below.update(P._delete(vals, i) for i in range(length))
     return by_len
 
 
 def closure_members(gens: Iterable[Perm], n: int) -> set[Perm]:
     """All length-n members of the downward closure of the generators."""
-    gens = [g for g in gens if len(g) >= n]
-    return set(_closure_by_length(gens, n).get(n, set()))
+    return {Perm(vals) for vals in _closure_by_length(gens, n).get(n, ())}
 
 
 def normalize_basis(perms: Iterable[Perm]) -> tuple[Perm, ...]:
@@ -190,23 +195,11 @@ def normalize_basis(perms: Iterable[Perm]) -> tuple[Perm, ...]:
     return tuple(out)
 
 
-def normalize_generators(perms: Iterable[Perm]) -> tuple[Perm, ...]:
-    """Keep only the containment-maximal generators."""
-    items = sorted(set(perms))
-    out = [
-        p
-        for p in items
-        if not any(q != p and P.contains(p, q) for q in items)
-    ]
-    return tuple(out)
-
-
 def members(c: ClassSpec, n: int) -> set[Perm]:
     """Length-n members of the class."""
     if isinstance(c, AvoidanceBasis):
         return EN.enumerate_avoiders(c.perms, n)
-    gens = normalize_generators(c.perms)
-    return closure_members(gens, n)
+    return closure_members(c.perms, n)
 
 
 def basis_up_to(c: ClassSpec, max_len: int) -> set[Perm]:
@@ -214,20 +207,24 @@ def basis_up_to(c: ClassSpec, max_len: int) -> set[Perm]:
 
     For Av(B) these are the minimal elements of B: a minimal non-member
     contains some b in B, which is a non-member too, so the two are equal.
-    For a closure, deleting the maximum of a minimal non-member leaves a
-    member, so the candidates are one-point extensions of the level below;
-    an empty class has the empty permutation as its only minimal non-member.
+    For a closure, deleting the maximum m of a minimal non-member of length
+    m leaves a member, so the candidates are the insertions of m into the
+    members of length m - 1; an empty class has the empty permutation as
+    its only minimal non-member.
     """
     if isinstance(c, AvoidanceBasis):
         return set(normalize_basis(b for b in c.perms if len(b) <= max_len))
-    by_len = _closure_by_length(normalize_generators(c.perms), 0)
-    basis: set[Perm] = set()
-    candidates: Iterable[Perm] = (P.EMPTY,)
-    below: set[Perm] = set()
-    for m in range(max_len + 1):
-        level = by_len.get(m, set())
-        basis.update(
-            q for q in candidates if q not in level and P.deletions(q) <= below
+    by_len = _closure_by_length(c.perms, 0)
+    basis: set[tuple[int, ...]] = set()
+    if max_len >= 0 and not by_len:
+        basis.add(())
+    for m in range(1, max_len + 1):
+        below, level = by_len.get(m - 1, ()), by_len.get(m, ())
+        candidates = (
+            vals[:pos] + (m,) + vals[pos:] for vals in below for pos in range(m)
         )
-        candidates, below = EN.one_point_extensions(level, m + 1), level
-    return basis
+        basis.update(
+            q for q in candidates
+            if q not in level and all(P._delete(q, i) in below for i in range(m))
+        )
+    return {Perm(vals) for vals in basis}

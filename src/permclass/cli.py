@@ -26,9 +26,9 @@ def _parse_perm(text: str) -> Perm:
 
 
 def _parse_perm_list(text: str, sep: str) -> list[Perm]:
-    items = [t for t in text.split(sep) if t.strip()]
-    if not items:
-        raise InvalidSequence(f"empty permutation list: {text!r}")
+    items = text.split(sep)
+    if not all(t.strip() for t in items):
+        raise InvalidSequence(f"empty field in permutation list: {text!r}")
     return [_parse_perm(t) for t in items]
 
 
@@ -49,6 +49,12 @@ def _positive_int(text: str) -> int:
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
+
+
+def _separator(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("separator must not be empty")
+    return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,7 +167,7 @@ def _cmd_basis(args) -> int:
 
 def _cmd_fit(args) -> int:
     if os.path.isfile(args.seq):
-        with open(args.seq) as fh:
+        with open(args.seq, encoding="utf-8") as fh:
             seq = EN.parse_sequence_text(fh.read())
     else:
         seq = EN.parse_sequence_text(args.seq)
@@ -205,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--max-n", type=_positive_int, required=True, dest="max_n")
     pc.add_argument("--format", choices=("table", "json", "csv", "bfile"), default="table")
     pc.add_argument("--output", default=None)
-    pc.add_argument("--sep", default=",")
+    pc.add_argument("--sep", type=_separator, default=",")
     pc.set_defaults(func=_cmd_count)
 
     pk = sub.add_parser("contains", help="does host contain the pattern?")
@@ -231,13 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--mu", default=None, help="range lo..hi of odd indices")
     pa.add_argument("--with-short-basis", action="store_true", dest="with_short_basis")
     pa.add_argument("--graph-certify", action="store_true", dest="graph_certify")
-    pa.add_argument("--sep", default=",")
+    pa.add_argument("--sep", type=_separator, default=",")
     pa.set_defaults(func=_cmd_antichain)
 
     pb = sub.add_parser("basis", help="minimal non-members of a closure class")
     pb.add_argument("--closure-of", required=True, dest="closure_of")
     pb.add_argument("--max-len", type=_positive_int, required=True, dest="max_len")
-    pb.add_argument("--sep", default=",")
+    pb.add_argument("--sep", type=_separator, default=",")
     pb.set_defaults(func=_cmd_basis)
 
     pf = sub.add_parser("fit", help="fit a linear recurrence to a sequence")
@@ -263,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except PermclassError as exc:
+    except (PermclassError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,6 +8,8 @@ the basis.  A level is a list of value tuples.  Its parents avoid the basis,
 so a child can only contain a basis element b through n, with b's maximum
 at the insertion position; that pinned search runs before the child is
 built, and `Perm`s are made only for the level `enumerate_avoiders` returns.
+Downward closures are not built here: `antichain` fills them in by one-point
+deletion.
 The five-state insertion machine is hard-wired to the quadruple
 basis {123, 3214, 2143, 15432} and is cross-validated against the generic
 enumerator in the tests.
@@ -28,18 +30,6 @@ from .perm import Perm
 QUAD_BASIS = tuple(Perm.from_text(t) for t in ("123", "3214", "2143", "15432"))
 TRIPLE_BASIS = QUAD_BASIS[:3]
 PAIR_BASIS = QUAD_BASIS[:2]
-
-
-def one_point_extensions(level: Iterable[Perm], m: int) -> Iterator[Perm]:
-    """Every insertion of the value m into each member of level (length m - 1).
-
-    Deleting m from a child gives back its parent and the insertion position,
-    so no child is yielded twice and callers need no set to drop repeats.
-    """
-    for p in level:
-        vals = p.values
-        for pos in range(len(vals) + 1):
-            yield Perm(vals[:pos] + (m,) + vals[pos:])
 
 
 def avoider_levels(basis: Iterable[Perm]) -> Iterator[list[tuple[int, ...]]]:

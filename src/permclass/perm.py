@@ -10,7 +10,6 @@ otherwise ("8,11,10,6,9,4,7,1,5,3,2").  str() emits the same convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInflation, InvalidPointSet, InvalidSequence
@@ -69,11 +68,6 @@ def decreasing(n: int) -> Perm:
     return Perm(tuple(range(n, 0, -1)))
 
 
-def all_perms(n: int) -> Iterator[Perm]:
-    for vals in permutations(range(1, n + 1)):
-        yield Perm(vals)
-
-
 def pattern_of(seq: Sequence[int]) -> Perm:
     """The unique permutation order-isomorphic to a sequence of distinct ints."""
     seq = tuple(seq)
@@ -91,16 +85,23 @@ def restriction(p: Perm, indices: Iterable[int]) -> Perm:
     return pattern_of(tuple(p.values[i - 1] for i in idx))
 
 
+def _delete(vals: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The values of a permutation with the entry at 0-based index i dropped
+    and every value above it lowered by one."""
+    x = vals[i]
+    return tuple([v if v < x else v - 1 for v in vals if v != x])
+
+
 def delete(p: Perm, i: int) -> Perm:
     """Pattern of p with the point at 1-based position i removed."""
     if not 1 <= i <= len(p):
         raise InvalidPointSet(f"position out of range: {i}")
-    return pattern_of(p.values[: i - 1] + p.values[i:])
+    return Perm(_delete(p.values, i - 1))
 
 
 def deletions(p: Perm) -> set[Perm]:
     """All distinct one-point-deletion patterns of p."""
-    return {delete(p, i) for i in range(1, len(p) + 1)}
+    return {Perm(_delete(p.values, i)) for i in range(len(p))}
 
 
 _Refs = tuple[list[int | None], list[int | None]]

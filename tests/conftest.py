@@ -8,7 +8,7 @@ from permclass import Perm
 from permclass import perm as P
 from permclass.enumeration import PAIR_BASIS, QUAD_BASIS
 from permclass.errors import EmptyInput
-from permclass.perm import all_perms, contains, deletions, pattern_of
+from permclass.perm import contains, deletions, pattern_of
 
 
 def perms(min_size=0, max_size=6):
@@ -26,6 +26,12 @@ def __rank(seq):
 
 def perms_of(n):
     return st.permutations(range(1, n + 1)).map(lambda v: Perm(tuple(v)))
+
+
+def all_perms(n: int) -> Iterator[Perm]:
+    """All n! permutations of length n, in lexicographic order."""
+    for vals in permutations(range(1, n + 1)):
+        yield Perm(vals)
 
 
 def _perms(text):

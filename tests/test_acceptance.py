@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 from math import comb
 
+from conftest import all_perms
 from permclass import Perm
 from permclass.antichain import (
     SHORT_BASIS,
@@ -28,7 +29,6 @@ from permclass.enumeration import (
 from permclass.growth import IntPolynomial, alpha, dominant_root
 from permclass.perm import (
     EMPTY,
-    all_perms,
     complement,
     contains,
     decreasing,

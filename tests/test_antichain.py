@@ -2,7 +2,12 @@ from itertools import combinations
 
 import pytest
 
-from conftest import ORACLE_BASES, brute_avoiders, brute_minimal_non_members
+from conftest import (
+    ORACLE_BASES,
+    all_perms,
+    brute_avoiders,
+    brute_minimal_non_members,
+)
 from permclass import Perm
 from permclass.antichain import (
     AvoidanceBasis,
@@ -22,7 +27,6 @@ from permclass.antichain import (
 )
 from permclass.errors import InvalidIndex, NotATree
 from permclass.perm import (
-    all_perms,
     contains,
     decreasing,
     deletions,
@@ -30,6 +34,22 @@ from permclass.perm import (
 )
 
 p = Perm.from_text
+
+# Generator sets the closure code is checked on against brute force; the
+# last two hold a generator contained in another one.
+CLOSURE_GENS = {
+    "none": (),
+    "2413": (p("2413"),),
+    "2413,3142": (p("2413"), p("3142")),
+    "mu7": (mu(7),),
+    "2413,132": (p("2413"), p("132")),
+    "mu7,2413": (mu(7), p("2413")),
+}
+
+
+def brute_closure(gens, n):
+    """Length-n members of the downward closure of gens, from all n!."""
+    return {q for q in all_perms(n) if any(contains(q, g) for g in gens)}
 
 
 class TestMu:
@@ -253,12 +273,16 @@ class TestBasisOracle:
         assert basis_up_to(AvoidanceBasis(basis), max_len) == want
 
     @pytest.mark.parametrize(
-        "gens", [(), (p("2413"),), (p("2413"), p("3142")), (mu(7),)],
-        ids=["none", "2413", "2413,3142", "mu7"],
+        "gens", CLOSURE_GENS.values(), ids=CLOSURE_GENS.keys()
     )
     def test_closure(self, gens, max_len):
-        def level(n):
-            return {q for q in all_perms(n) if any(contains(q, g) for g in gens)}
-
-        want = brute_minimal_non_members(level, max_len)
+        want = brute_minimal_non_members(
+            lambda n: brute_closure(gens, n), max_len
+        )
         assert basis_up_to(ClosureOf(gens), max_len) == want
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("gens", CLOSURE_GENS.values(), ids=CLOSURE_GENS.keys())
+def test_closure_members_oracle(gens, n):
+    assert members(ClosureOf(gens), n) == brute_closure(gens, n)

@@ -177,6 +177,9 @@ class TestExitCodes:
             ("basis", "--closure-of", "2413", "--max-len", "0"),
             ("basis", "--closure-of", "2413", "--max-len", "-1"),
             ("fit", "--seq", "1,2,3,4", "--max-order", "-1"),
+            ("count", "--avoid", "123", "--max-n", "3", "--sep", ""),
+            ("antichain", "--perms", "12", "--sep", ""),
+            ("basis", "--closure-of", "2413", "--max-len", "4", "--sep", ""),
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
@@ -202,10 +205,31 @@ class TestExitCodes:
             ("fit", "--seq", "[1.5,2,3,4]", "--max-order", "1"),
             ("growth", "--alpha", "5", "--tol", "nan"),
             ("growth", "--alpha", "5", "--tol", "inf"),
+            ("count", "--avoid", "123,,3214", "--max-n", "4"),
+            ("count", "--avoid", "123,", "--max-n", "4"),
+            ("antichain", "--perms", "2413,,3142"),
+            ("basis", "--closure-of", "2413,,3142", "--max-len", "4"),
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, "")
             assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "count", "--avoid", "123", "--max-n", "3",
+            "--output", str(tmp_path / "missing" / "counts.txt"),
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_non_utf8_sequence_file(self, capsys, tmp_path):
+        seq_file = tmp_path / "seq.bin"
+        seq_file.write_bytes(b"1 1\n2 \xff\xfe\n")
+        code, out, err = run(
+            capsys, "fit", "--seq", str(seq_file), "--max-order", "1"
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
 
     @given(st.text(alphabet="0123456789,.x-[] ", max_size=4))
     @settings(deadline=None)
@@ -216,6 +240,7 @@ class TestExitCodes:
             ["mu", text],
             ["fit", "--seq", text, "--max-order", "1"],
             ["growth", "--recurrence", text],
+            ["count", "--avoid", text, "--max-n", "3"],
         ):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 assert main(argv) in (0, 1, 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ORACLE_BASES, brute_avoiders
+from conftest import ORACLE_BASES, all_perms, brute_avoiders
 from permclass import Perm
 from permclass.antichain import AvoidanceBasis, members
 from permclass.enumeration import (
@@ -27,7 +27,7 @@ from permclass.enumeration import (
     to_bfile_lines,
 )
 from permclass.errors import InvalidSequence, NeedMoreTerms, UseSeedVector
-from permclass.perm import all_perms, delete, inverse
+from permclass.perm import delete, inverse
 
 p = Perm.from_text
 

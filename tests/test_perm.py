@@ -14,7 +14,6 @@ from permclass.perm import (
     EMPTY,
     _bounding_refs,
     _occurs_split,
-    all_perms,
     complement,
     contains,
     delete,
@@ -28,7 +27,7 @@ from permclass.perm import (
     skew_sum,
 )
 
-from conftest import brute_contains_through_new_max, perms, perms_of
+from conftest import all_perms, brute_contains_through_new_max, perms, perms_of
 
 from permclass.antichain import mu
 
@@ -76,6 +75,11 @@ class TestRestriction:
     def test_out_of_range(self):
         with pytest.raises(InvalidPointSet):
             restriction(p("312"), {0, 1})
+
+    @given(perms(min_size=1, max_size=9), st.data())
+    def test_delete_is_pattern_of_the_rest(self, q, data):
+        i = data.draw(st.integers(1, len(q)))
+        assert delete(q, i) == pattern_of(q.values[: i - 1] + q.values[i:])
 
 
 class TestContains:

@@ -9,7 +9,6 @@ from permclass.antichain import mu
 from permclass.errors import EmptyInput, UseSegStatUnbounded
 from permclass.perm import (
     EMPTY,
-    all_perms,
     contains,
     decreasing,
     deletions,
@@ -32,7 +31,7 @@ from permclass.structure import (
     up_decomposition,
 )
 
-from conftest import alternating_perms, brute_al, perms
+from conftest import all_perms, alternating_perms, brute_al, perms
 
 p = Perm.from_text
 
