@@ -29,7 +29,14 @@ def _parse_perm_list(text: str, sep: str) -> list[Perm]:
     items = text.split(sep)
     if not all(t.strip() for t in items):
         raise InvalidSequence(f"empty field in permutation list: {text!r}")
-    return [_parse_perm(t) for t in items]
+    try:
+        return [_parse_perm(t) for t in items]
+    except InvalidSequence as exc:
+        # permutations of length >= 10 print with commas, the default --sep
+        raise InvalidSequence(
+            f"{exc}, in a list split on --sep {sep!r}; for permutations "
+            f"written with commas, pass another --sep, such as ';'"
+        ) from None
 
 
 def _parse_mu_range(text: str) -> range:

@@ -1,13 +1,15 @@
 """Exact enumeration of avoidance classes and C-finite sequence machinery.
 
 Counting is done with Python's arbitrary-precision integers throughout.  One
-engine, `avoider_levels`, builds level n >= 1 of an avoidance class from the
-one-point extensions (insert the new maximum n) of level n - 1, which is sound
-because avoidance classes are downward closed; level 0 is {()} unless () is in
-the basis.  A level is a list of value tuples.  Its parents avoid the basis,
-so a child can only contain a basis element b through n, with b's maximum
-at the insertion position; that pinned search runs before the child is
-built, and `Perm`s are made only for the level `enumerate_avoiders` returns.
+engine, `avoider_levels`, walks the generating tree of an avoidance class:
+level n >= 1 is made of the one-point extensions (insert the new maximum n)
+of level n - 1, which is sound because avoidance classes are downward
+closed; level 0 is {()} unless () is in the basis.  A level is a list of
+value tuples, each with its active sites (where the next maximum can go).
+A child's sites are found among its parent's, each tested by a search on
+the parent with the two new maxima pinned; so a level's size is the number
+of active sites one level down, `count_avoiders` never builds its last
+level, and `Perm`s are made only for the level `enumerate_avoiders` returns.
 Downward closures are not built here: `antichain` fills them in by one-point
 deletion.
 The five-state insertion machine is hard-wired to the quadruple
@@ -32,49 +34,101 @@ TRIPLE_BASIS = QUAD_BASIS[:3]
 PAIR_BASIS = QUAD_BASIS[:2]
 
 
-def avoider_levels(basis: Iterable[Perm]) -> Iterator[list[tuple[int, ...]]]:
-    """The avoiders of the basis, as lists of value tuples, one list per
-    length 0, 1, 2, ... without end.
+_Level = list[tuple[tuple[int, ...], tuple[int, ...]]]
 
-    A child of an avoider contains b only through its new maximum m, which
-    must then play b's maximum: so it is pruned iff the parent has an
-    occurrence of b minus its maximum with the entries left of that maximum
-    at indices < pos and the rest at indices >= pos (pos being where m goes).
-    Lists suffice because one-point extensions never repeat.
+
+def avoider_levels(basis: Iterable[Perm]) -> Iterator[_Level]:
+    """The avoiders of the basis B, one list per length 0, 1, 2, ... without
+    end.  Each avoider sigma of length n comes as (values, sites): its active
+    sites are the indices s in 0..n at which inserting n + 1 gives an
+    avoider, in increasing order.
+
+    Level n + 1 is made of the children sigma' = sigma with m = n + 1
+    inserted at p, for p an active site of sigma (lists suffice, because
+    one-point extensions never repeat).  The sites of sigma' follow in three
+    steps.
+
+    1. Inheritance.  Deleting m from sigma' with m + 1 inserted at s leaves
+       sigma with its new maximum at s (if s <= p) or s - 1 (if s > p), and
+       avoidance classes are downward closed.  So the only candidates are
+       sigma's active sites q, with q < p kept as q, q > p shifted to q + 1,
+       and p split into p and p + 1.
+    2. Both maxima pinned.  Let tau be sigma' with m + 1 at a candidate
+       whose site in sigma is q.  Deleting m + 1 from tau leaves sigma', and
+       deleting m leaves sigma with its maximum at q: both avoid B.  So an
+       occurrence in tau of b in B uses m + 1 and m, which then play b's
+       largest and second largest entries, in the same order (m + 1 comes
+       first for the candidates from q <= p, second for those from q >= p).
+       Such an occurrence exists iff sigma has one of b without its two
+       largest entries, cut into three segments where those entries go: at
+       indices before min(q, p), from there to max(q, p), and from there on.
+       The search runs on sigma itself; tau is not built for it.
+    3. Counting.  Level n + 1 has one member per active site of level n, so
+       its size is known before it is built.
+
+    Level 0 is [()] with site 0, unless B holds () (every level is empty)
+    or 1 (() has no site); basis elements that short never come up in
+    step 2.
     """
-    level: list[tuple[int, ...]] = [()]
-    pins = []
+    left, right = [], []  # b's maximum before / after its second maximum
+    short = set()
     for b in basis:
-        if not b:  # every permutation contains ()
-            level = []
+        if len(b) < 2:
+            short.add(len(b))
             continue
         top = b.values.index(len(b))
-        rest = b.values[:top] + b.values[top + 1:]
-        pins.append((P._bounding_refs(rest), top))
+        second = b.values.index(len(b) - 1)
+        rest = tuple(v for v in b.values if v < len(b) - 1)
+        cuts = (min(top, second), max(top, second) - 1)
+        (left if top < second else right).append((P._bounding_refs(rest), cuts))
+    level: _Level = [] if 0 in short else [((), () if 1 in short else (0,))]
     yield level
+
+    occurs = P._occurs_split
+
+    def active(vals, sites, p):
+        out = []
+        for q in sites:
+            if q <= p:
+                for refs, cuts in left:
+                    if occurs(refs, vals, cuts, (q, p)):
+                        break
+                else:
+                    out.append(q)
+            if q >= p:
+                for refs, cuts in right:
+                    if occurs(refs, vals, cuts, (p, q)):
+                        break
+                else:
+                    out.append(q + 1)
+        return tuple(out)
+
     for m in count(1):
         level = [
-            vals[:pos] + (m,) + vals[pos:]
-            for vals in level
-            for pos in range(m)
-            if not any(P._occurs_split(refs, vals, top, pos) for refs, top in pins)
+            (vals[:p] + (m,) + vals[p:], active(vals, sites, p))
+            for vals, sites in level
+            for p in sites
         ]
         yield level
 
 
 def enumerate_avoiders(basis: Iterable[Perm], n: int) -> set[Perm]:
     """All length-n permutations avoiding every basis element (empty for
-    n < 0)."""
+    n < 0): the children of level n - 1 at their active sites."""
     if n < 0:
         return set()
-    return {Perm(vals) for vals in next(islice(avoider_levels(basis), n, None))}
+    if n == 0:
+        return {Perm(vals) for vals, _ in next(avoider_levels(basis))}
+    level = next(islice(avoider_levels(basis), n - 1, None))
+    return {Perm(vals[:p] + (n,) + vals[p:]) for vals, sites in level for p in sites}
 
 
 def count_avoiders(basis: Iterable[Perm], max_n: int) -> list[int]:
     """|S_n(basis)| for n = 1..max_n (index 0 holds n = 1; empty for
-    max_n < 1)."""
-    levels = islice(avoider_levels(basis), 1, None)
-    return [len(level) for _, level in zip(range(max_n), levels)]
+    max_n < 1), each summed over the active sites of the level below, so
+    level max_n is never built."""
+    levels = zip(range(max_n), avoider_levels(basis))
+    return [sum(len(sites) for _, sites in level) for _, level in levels]
 
 
 class StateVector(NamedTuple):

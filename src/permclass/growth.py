@@ -54,11 +54,16 @@ def char_poly(r: LinearRecurrence) -> IntPolynomial:
 
 
 def dominant_root(p: IntPolynomial, tol: float = 1e-9) -> RootEstimate:
-    """Largest real root in (1, 1 + max|c_i|], by exact-sign bisection.
+    """A real root in (1, 1 + max|c_i|], by exact-sign bisection.
 
-    The rightmost sign change is found on a fixed grid first; for the
-    polynomials of interest there is a single real root above 1, so the grid
-    scan is a formality recorded as such.
+    The interval is cut into a fixed grid of cells and the rightmost cell
+    whose endpoints differ in sign is bisected.  What is certified: the
+    polynomial changes sign on the returned bracket, so the bracket holds a
+    root.  What is not: that this root is the largest.  Roots that share a
+    grid cell can cancel each other's sign change (two roots in one cell
+    show none, and a root of even multiplicity never shows one), so a larger
+    root can be missed; if every root above 1 is missed, `NoRootAboveOne`
+    is raised although such a root exists.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise Unsupported(f"tolerance must be positive and finite, got {tol}")

@@ -123,49 +123,65 @@ def _bounding_refs(pv: Sequence[int]) -> _Refs:
     return lo_ref, hi_ref
 
 
-def _occurs_split(refs: _Refs, hv: Sequence[int], split: int, pos: int) -> bool:
+def _occurs_split(refs: _Refs, hv: Sequence[int],
+                  splits: Sequence[int] = (), sites: Sequence[int] = ()) -> bool:
     """True iff the host values hv (a permutation of 1..len(hv)) have an
-    occurrence of the pattern whose `_bounding_refs` are refs, with its first
-    split entries at indices < pos and the rest at indices >= pos.
+    occurrence of the pattern whose `_bounding_refs` are refs, cut into
+    segments: with splits = (c_1, ..., c_r) and sites = (s_1, ..., s_r), both
+    non-decreasing, the pattern entries at indices in [c_g, c_{g+1}) lie at
+    host indices in [s_g, s_{g+1}), where c_0 = s_0 = 0, c_{r+1} is the
+    pattern length and s_{r+1} = len(hv).  No cuts means plain containment.
 
-    Depth-first search over candidate positions; each candidate value must lie
-    strictly between the already-matched values that tightest-bound the
-    pattern value from below and above, which prunes hard on long hosts.
+    Depth-first search over candidate positions, kept on an explicit stack
+    (`chosen`): each candidate value must lie strictly between the
+    already-matched values that tightest-bound the pattern value from below
+    and above, which prunes hard on long hosts.  Each entry's first and last
+    admissible index (its segment, less room for the segment's later
+    entries) are worked out once per call, so the search itself reads them.
     """
     lo_ref, hi_ref = refs
     k, n = len(lo_ref), len(hv)
+    starts: list[int] = []
+    stops: list[int] = []
+    a = s = 0
+    for b, t in zip((*splits, k), (*sites, n)):
+        for j in range(a, b):
+            starts.append(s)
+            stops.append(t - b + j + 1)
+        a, s = b, t
     chosen = [0] * k
-
-    def dfs(j: int, start: int) -> bool:
-        if j == k:
-            return True
-        if j == split:
-            start = pos
-        stop = pos - split + j + 1 if j < split else n - k + j + 1
+    j = i = 0  # entry j is tried at host indices i, i + 1, ...
+    while j < k:
         lo, hi = lo_ref[j], hi_ref[j]
         floor = 0 if lo is None else hv[chosen[lo]]
         ceiling = n + 1 if hi is None else hv[chosen[hi]]
-        for i in range(start, stop):
-            if floor < hv[i] < ceiling:
-                chosen[j] = i
-                if dfs(j + 1, i + 1):
-                    return True
-        return False
-
-    return dfs(0, 0)
+        stop = stops[j]
+        if i < starts[j]:
+            i = starts[j]
+        while i < stop and not floor < hv[i] < ceiling:
+            i += 1
+        if i < stop:  # entry j placed: go on to entry j + 1
+            chosen[j] = i
+            j += 1
+            i += 1
+        elif j == 0:
+            return False
+        else:  # entry j cannot be placed: move entry j - 1 on
+            j -= 1
+            i = chosen[j] + 1
+    return True
 
 
 def contains(pat: Perm, host: Perm) -> bool:
     """True iff host has a subsequence order-isomorphic to pat.
 
-    This is the split search `_occurs_split` with every pattern entry left
-    of pos = len(host); the enumeration engine runs the same search with
-    the split at the maximum of a basis element.
+    This is the search `_occurs_split` with no cuts; the enumeration engine
+    runs the same search with the cuts at the two largest entries of a basis
+    element.
     """
     if len(pat) > len(host):
         return False
-    return _occurs_split(_bounding_refs(pat.values), host.values,
-                         len(pat), len(host))
+    return _occurs_split(_bounding_refs(pat.values), host.values)
 
 
 def inverse(p: Perm) -> Perm:

@@ -50,6 +50,7 @@ ORACLE_BASES = {
     "quad": QUAD_BASIS,
     "2413,3142": _perms("2413,3142"),
     "25314": _perms("25314"),
+    "21,123": _perms("21,123"),  # no avoider of length 3 or more
 }
 
 
@@ -68,6 +69,30 @@ def brute_contains_through_new_max(pat, q, pos):
     return any(
         pos in idx and pattern_of(tuple(child[i] for i in idx)) == pat
         for idx in combinations(range(len(child)), len(pat))
+    )
+
+
+def brute_contains_through_two_new_maxima(pat, q, p, s):
+    """Whether q with m = len(q) + 1 inserted at index p, and then m + 1 at
+    index s of the result, has an occurrence of pat that uses both, from all
+    index subsets."""
+    m = len(q) + 1
+    child = q.values[:p] + (m,) + q.values[p:]
+    child = child[:s] + (m + 1,) + child[s:]
+    both = {child.index(m), child.index(m + 1)}
+    return any(
+        both <= set(idx) and pattern_of(tuple(child[i] for i in idx)) == pat
+        for idx in combinations(range(len(child)), len(pat))
+    )
+
+
+def brute_active_sites(basis, vals):
+    """The indices at which inserting len(vals) + 1 into the values vals
+    gives a permutation avoiding every element of basis."""
+    m = len(vals) + 1
+    return tuple(
+        s for s in range(m)
+        if not any(contains(b, Perm(vals[:s] + (m,) + vals[s:])) for b in basis)
     )
 
 

@@ -214,6 +214,19 @@ class TestExitCodes:
             assert (code, out) == (1, "")
             assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_comma_form_list_names_sep(self, capsys):
+        mu11 = "8,11,10,6,9,4,7,1,5,3,2"  # permclass mu 11
+        for argv in (
+            ("count", "--avoid", mu11, "--max-n", "3"),
+            ("antichain", "--perms", mu11),
+            ("basis", "--closure-of", mu11, "--max-len", "4"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert len(err.splitlines()) == 1 and "--sep" in err
+        code, out, _ = run(capsys, "count", "--avoid", mu11, "--max-n", "3", "--sep", ";")
+        assert (code, out) == (0, "1 1\n2 2\n3 6\n")
+
     def test_unwritable_output(self, capsys, tmp_path):
         code, out, err = run(
             capsys, "count", "--avoid", "123", "--max-n", "3",

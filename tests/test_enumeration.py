@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ORACLE_BASES, all_perms, brute_avoiders
+from conftest import ORACLE_BASES, all_perms, brute_active_sites, brute_avoiders
 from permclass import Perm
 from permclass.antichain import AvoidanceBasis, members
 from permclass.enumeration import (
@@ -18,6 +18,7 @@ from permclass.enumeration import (
     abcde_census,
     abcde_counts,
     abcde_step,
+    avoider_levels,
     count_avoiders,
     enumerate_avoiders,
     eval_recurrence,
@@ -81,6 +82,14 @@ class TestEnumerateOracle:
 
     def test_members(self, basis, n):
         assert members(AvoidanceBasis(basis), n) == brute_avoiders(basis, n)
+
+
+@pytest.mark.parametrize("basis", ORACLE_BASES.values(), ids=ORACLE_BASES.keys())
+def test_active_sites_match_oracle(basis):
+    for n, level in zip(range(8), avoider_levels(basis)):
+        assert {Perm(vals) for vals, _ in level} == brute_avoiders(basis, n)
+        for vals, sites in level:
+            assert sites == brute_active_sites(basis, vals)
 
 
 def test_negative_lengths_are_empty():

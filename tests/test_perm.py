@@ -27,7 +27,13 @@ from permclass.perm import (
     skew_sum,
 )
 
-from conftest import all_perms, brute_contains_through_new_max, perms, perms_of
+from conftest import (
+    all_perms,
+    brute_contains_through_new_max,
+    brute_contains_through_two_new_maxima,
+    perms,
+    perms_of,
+)
 
 from permclass.antichain import mu
 
@@ -124,8 +130,27 @@ class TestContains:
         pos = data.draw(st.integers(0, len(q)))
         top = pat.values.index(len(pat))
         rest = pat.values[:top] + pat.values[top + 1:]
-        got = _occurs_split(_bounding_refs(rest), q.values, top, pos)
+        got = _occurs_split(_bounding_refs(rest), q.values, (top,), (pos,))
         assert got == brute_contains_through_new_max(pat, q, pos)
+
+    @given(perms(min_size=2, max_size=5), perms(max_size=7), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_two_pinned_maxima_match_oracle(self, pat, q, data):
+        # the enumeration engine's test of an inherited site: pat's maximum
+        # pinned to m + 1 at index s, and its second maximum to m at p, in q
+        # with m = len(q) + 1 inserted at p and then m + 1 at s
+        p = data.draw(st.integers(0, len(q)))
+        s = data.draw(st.integers(0, len(q) + 1))
+        want = brute_contains_through_two_new_maxima(pat, q, p, s)
+        top = pat.values.index(len(pat))
+        second = pat.values.index(len(pat) - 1)
+        if (top < second) != (s <= p):  # m + 1 and m in the wrong order
+            assert not want
+            return
+        rest = tuple(v for v in pat.values if v < len(pat) - 1)
+        cuts = (min(top, second), max(top, second) - 1)
+        sites = (s, p) if s <= p else (p, s - 1)
+        assert _occurs_split(_bounding_refs(rest), q.values, cuts, sites) == want
 
 
 class TestSymmetries:
