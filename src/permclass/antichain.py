@@ -185,14 +185,16 @@ def closure_members(gens: Iterable[Perm], n: int) -> set[Perm]:
 
 
 def normalize_basis(perms: Iterable[Perm]) -> tuple[Perm, ...]:
-    """Keep only the containment-minimal elements."""
-    items = sorted(set(perms))
-    out = [
-        p
-        for p in items
-        if not any(q != p and P.contains(q, p) for q in items)
-    ]
-    return tuple(out)
+    """Keep only the containment-minimal elements.
+
+    In (length, values) order a permutation contains only earlier ones, and
+    if it contains any, it contains a minimal one, kept earlier.
+    """
+    kept: list[Perm] = []
+    for p in sorted(set(perms)):
+        if not any(P.contains(q, p) for q in kept):
+            kept.append(p)
+    return tuple(kept)
 
 
 def members(c: ClassSpec, n: int) -> set[Perm]:

@@ -4,6 +4,10 @@ All data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 domain error, 2 usage error.  Output is deterministic for a fixed
 invocation: collections are sorted before printing and nothing is
 timestamped.
+
+Permutation lists (--avoid, --perms, --closure-of) use the grammar of
+`_parse_perm_list`; integer lists (--seq, --recurrence) that of
+`enumeration.parse_sequence_text`.
 """
 from __future__ import annotations
 
@@ -21,22 +25,26 @@ from .errors import InvalidIndex, InvalidSequence, PermclassError
 from .perm import Perm
 
 
-def _parse_perm(text: str) -> Perm:
-    return Perm.from_text(text)
-
-
-def _parse_perm_list(text: str, sep: str) -> list[Perm]:
+def _fields(text: str, sep: str) -> list[str]:
     items = text.split(sep)
     if not all(t.strip() for t in items):
         raise InvalidSequence(f"empty field in permutation list: {text!r}")
-    try:
-        return [_parse_perm(t) for t in items]
-    except InvalidSequence as exc:
-        # permutations of length >= 10 print with commas, the default --sep
-        raise InvalidSequence(
-            f"{exc}, in a list split on --sep {sep!r}; for permutations "
-            f"written with commas, pass another --sep, such as ';'"
-        ) from None
+    return items
+
+
+def _parse_perm_list(text: str) -> list[Perm]:
+    """Permutations separated by ';'; a field that is not one permutation
+    is read as a comma-separated list ("123;8,11,10,6,9,4,7,1,5,3,2" and
+    "123,3214" are two each).  No field reads both ways: a comma-form
+    permutation of length >= 2 has the part 2, which is not a permutation.
+    """
+    perms: list[Perm] = []
+    for field in _fields(text, ";"):
+        try:
+            perms.append(Perm.from_text(field))
+        except InvalidSequence:
+            perms.extend(Perm.from_text(t) for t in _fields(field, ","))
+    return perms
 
 
 def _parse_mu_range(text: str) -> range:
@@ -56,12 +64,6 @@ def _positive_int(text: str) -> int:
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
     return int(text)
-
-
-def _separator(text: str) -> str:
-    if not text:
-        raise argparse.ArgumentTypeError("separator must not be empty")
-    return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,21 +96,21 @@ def _render_counts(basis: list[Perm], counts: list[int], fmt: str) -> list[str]:
 
 
 def _cmd_count(args) -> int:
-    basis = _parse_perm_list(args.avoid, args.sep)
+    basis = _parse_perm_list(args.avoid)
     counts = EN.count_avoiders(basis, args.max_n)
     _emit(_render_counts(sorted(basis), counts, args.format), args.output)
     return 0
 
 
 def _cmd_contains(args) -> int:
-    pat = _parse_perm(args.pattern)
-    host = _parse_perm(args.host)
+    pat = Perm.from_text(args.pattern)
+    host = Perm.from_text(args.host)
     print("yes" if P.contains(pat, host) else "no")
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    p = _parse_perm(args.perm)
+    p = Perm.from_text(args.perm)
     if args.k is not None:
         parts = ST.k_decomposition(p, args.k)
         print(" ".join(f"{a}-{b}" for a, b in parts))
@@ -122,7 +124,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    p = _parse_perm(args.perm)
+    p = Perm.from_text(args.perm)
     print(f"al {ST.al(p)}")
     print(f"h+ {ST.h_plus(p)}")
     print(f"h- {ST.h_minus(p)}")
@@ -144,7 +146,7 @@ def _cmd_antichain(args) -> int:
         mu_indices = _parse_mu_range(args.mu)
         perms.extend(AC.mu(i) for i in mu_indices)
     if args.perms:
-        perms.extend(_parse_perm_list(args.perms, args.sep))
+        perms.extend(_parse_perm_list(args.perms))
     if args.with_short_basis:
         perms.extend(AC.SHORT_BASIS)
     if not perms:
@@ -157,15 +159,17 @@ def _cmd_antichain(args) -> int:
     else:
         pat, host = witness
         print(f"antichain: no (witness: {pat} contained in {host})")
+    mismatch = False  # a failed certificate is a domain error, exit 1
     if args.graph_certify:
         for i in mu_indices:
             good = AC.tree_isomorphic(AC.perm_graph(AC.mu(i)), AC.double_fork(i))
+            mismatch |= not good
             print(f"certificate mu_{i}: {'tree matches double fork' if good else 'MISMATCH'}")
-    return 0
+    return 1 if mismatch else 0
 
 
 def _cmd_basis(args) -> int:
-    gens = _parse_perm_list(args.closure_of, args.sep)
+    gens = _parse_perm_list(args.closure_of)
     basis = AC.basis_up_to(AC.ClosureOf(tuple(gens)), args.max_len)
     for p in sorted(basis):
         print(p)
@@ -191,10 +195,7 @@ def _cmd_growth(args) -> int:
     if args.alpha is not None:
         est = GR.alpha(args.alpha, args.tol)
     else:
-        try:
-            coeffs = [int(t) for t in args.recurrence.split(",")]
-        except ValueError:
-            raise InvalidSequence(f"bad coefficients: {args.recurrence!r}") from None
+        coeffs = EN.parse_sequence_text(args.recurrence)
         poly = GR.IntPolynomial((1,) + tuple(-c for c in coeffs))
         est = GR.dominant_root(poly, args.tol)
     print(f"{est.value:.5f}")
@@ -214,11 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("count", help="count avoiders of a basis")
-    pc.add_argument("--avoid", required=True, help="basis permutations, separated by --sep")
+    pc.add_argument("--avoid", required=True, help="basis permutations, separated by ';' or by ','")
     pc.add_argument("--max-n", type=_positive_int, required=True, dest="max_n")
     pc.add_argument("--format", choices=("table", "json", "csv", "bfile"), default="table")
     pc.add_argument("--output", default=None)
-    pc.add_argument("--sep", type=_separator, default=",")
     pc.set_defaults(func=_cmd_count)
 
     pk = sub.add_parser("contains", help="does host contain the pattern?")
@@ -244,13 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--mu", default=None, help="range lo..hi of odd indices")
     pa.add_argument("--with-short-basis", action="store_true", dest="with_short_basis")
     pa.add_argument("--graph-certify", action="store_true", dest="graph_certify")
-    pa.add_argument("--sep", type=_separator, default=",")
     pa.set_defaults(func=_cmd_antichain)
 
     pb = sub.add_parser("basis", help="minimal non-members of a closure class")
     pb.add_argument("--closure-of", required=True, dest="closure_of")
     pb.add_argument("--max-len", type=_positive_int, required=True, dest="max_len")
-    pb.add_argument("--sep", type=_separator, default=",")
     pb.set_defaults(func=_cmd_basis)
 
     pf = sub.add_parser("fit", help="fit a linear recurrence to a sequence")
@@ -260,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("growth", help="dominant root of a recurrence or alpha_i")
     group = pg.add_mutually_exclusive_group(required=True)
-    group.add_argument("--recurrence", default=None, help="comma-separated coefficients")
+    group.add_argument("--recurrence", default=None, help="c_1..c_d of a(n) = sum c_i a(n-i), read like --seq")
     group.add_argument("--alpha", type=int, default=None)
     pg.add_argument("--tol", type=float, default=1e-9)
     pg.set_defaults(func=_cmd_growth)

@@ -1,4 +1,4 @@
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations
 from typing import Iterator
 
@@ -8,7 +8,7 @@ from permclass import Perm
 from permclass import perm as P
 from permclass.enumeration import PAIR_BASIS, QUAD_BASIS
 from permclass.errors import EmptyInput
-from permclass.perm import contains, deletions, pattern_of
+from permclass.perm import deletions, pattern_of
 
 
 def perms(min_size=0, max_size=6):
@@ -54,11 +54,25 @@ ORACLE_BASES = {
 }
 
 
+@lru_cache(maxsize=1 << 12)
+def _shapes(host, k):
+    """The argsorts of the length-k subsequences of host, from all index subsets."""
+    ks = range(k)
+    return {tuple(sorted(ks, key=s.__getitem__)) for s in combinations(host, k)}
+
+
+def contains_oracle(pat, host):
+    """Whether host contains pat: a subsequence is order-isomorphic to pat
+    iff it has the same argsort.  Results are cached per host and length."""
+    shape = tuple(sorted(range(len(pat)), key=pat.values.__getitem__))
+    return shape in _shapes(host.values, len(pat))
+
+
 @cache
 def brute_avoiders(basis, n):
     """Length-n permutations avoiding every element of basis, from all n!."""
     return frozenset(
-        q for q in all_perms(n) if not any(contains(b, q) for b in basis)
+        q for q in all_perms(n) if not any(contains_oracle(b, q) for b in basis)
     )
 
 
@@ -92,7 +106,9 @@ def brute_active_sites(basis, vals):
     m = len(vals) + 1
     return tuple(
         s for s in range(m)
-        if not any(contains(b, Perm(vals[:s] + (m,) + vals[s:])) for b in basis)
+        if not any(
+            contains_oracle(b, Perm(vals[:s] + (m,) + vals[s:])) for b in basis
+        )
     )
 
 

@@ -5,8 +5,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permclass.cli import main
+from conftest import perms
+from permclass import antichain as AC
+from permclass.cli import _parse_perm_list, main
 from permclass.enumeration import parse_sequence_text
+
+MU11 = "8,11,10,6,9,4,7,1,5,3,2"  # permclass mu 11
+MU13 = "10,13,12,8,11,6,9,4,7,1,5,3,2"  # permclass mu 13
 
 
 def run(capsys, *argv):
@@ -56,10 +61,9 @@ class TestCount:
         assert code == 0 and out == ""
         assert target.read_text().splitlines() == ["1 1", "2 2", "3 5"]
 
-    def test_custom_sep_for_long_perms(self, capsys):
+    def test_semicolon_list_with_long_perms(self, capsys):
         code, out, _ = run(
-            capsys, "count", "--avoid", "123;8,11,10,6,9,4,7,1,5,3,2",
-            "--sep", ";", "--max-n", "4",
+            capsys, "count", "--avoid", f"123;{MU11}", "--max-n", "4",
         )
         assert code == 0
         # the length-11 basis element cannot constrain n <= 4
@@ -113,6 +117,19 @@ class TestAntichain:
         code, out, _ = run(capsys, "antichain", "--perms", "12,123")
         assert code == 0
         assert out.strip() == "antichain: no (witness: 12 contained in 123)"
+
+    def test_graph_certify_mismatch_exits_1(self, capsys, monkeypatch):
+        real = AC.double_fork
+        monkeypatch.setattr(AC, "double_fork", lambda i: real(7 if i == 9 else i))
+        code, out, _ = run(
+            capsys, "antichain", "--mu", "7..11", "--graph-certify"
+        )
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "certificate mu_7: tree matches double fork",
+            "certificate mu_9: MISMATCH",
+            "certificate mu_11: tree matches double fork",
+        ]
 
     def test_graph_certify(self, capsys):
         code, out, _ = run(
@@ -177,9 +194,9 @@ class TestExitCodes:
             ("basis", "--closure-of", "2413", "--max-len", "0"),
             ("basis", "--closure-of", "2413", "--max-len", "-1"),
             ("fit", "--seq", "1,2,3,4", "--max-order", "-1"),
-            ("count", "--avoid", "123", "--max-n", "3", "--sep", ""),
-            ("antichain", "--perms", "12", "--sep", ""),
-            ("basis", "--closure-of", "2413", "--max-len", "4", "--sep", ""),
+            ("count", "--avoid", "123", "--max-n", "3", "--sep", ";"),
+            ("antichain", "--perms", "12", "--sep", ";"),
+            ("basis", "--closure-of", "2413", "--max-len", "4", "--sep", ";"),
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "")
@@ -207,6 +224,7 @@ class TestExitCodes:
             ("growth", "--alpha", "5", "--tol", "inf"),
             ("count", "--avoid", "123,,3214", "--max-n", "4"),
             ("count", "--avoid", "123,", "--max-n", "4"),
+            ("count", "--avoid", "123;", "--max-n", "4"),
             ("antichain", "--perms", "2413,,3142"),
             ("basis", "--closure-of", "2413,,3142", "--max-len", "4"),
         ):
@@ -214,17 +232,14 @@ class TestExitCodes:
             assert (code, out) == (1, "")
             assert len(err.splitlines()) == 1 and err.startswith("error:")
 
-    def test_comma_form_list_names_sep(self, capsys):
-        mu11 = "8,11,10,6,9,4,7,1,5,3,2"  # permclass mu 11
+    def test_comma_form_lists_parse(self, capsys):
         for argv in (
-            ("count", "--avoid", mu11, "--max-n", "3"),
-            ("antichain", "--perms", mu11),
-            ("basis", "--closure-of", mu11, "--max-len", "4"),
+            ("antichain", "--perms", f"{MU11};{MU13}"),
+            ("basis", "--closure-of", MU13, "--max-len", "4"),
         ):
             code, out, err = run(capsys, *argv)
-            assert (code, out) == (1, "")
-            assert len(err.splitlines()) == 1 and "--sep" in err
-        code, out, _ = run(capsys, "count", "--avoid", mu11, "--max-n", "3", "--sep", ";")
+            assert (code, err) == (0, "")
+        code, out, _ = run(capsys, "count", "--avoid", MU11, "--max-n", "3")
         assert (code, out) == (0, "1 1\n2 2\n3 6\n")
 
     def test_unwritable_output(self, capsys, tmp_path):
@@ -244,7 +259,7 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
-    @given(st.text(alphabet="0123456789,.x-[] ", max_size=4))
+    @given(st.text(alphabet="0123456789,;.x-[] ", max_size=4))
     @settings(deadline=None)
     def test_fuzzed_numbers_exit_cleanly(self, text):
         for argv in (
@@ -254,6 +269,17 @@ class TestExitCodes:
             ["fit", "--seq", text, "--max-order", "1"],
             ["growth", "--recurrence", text],
             ["count", "--avoid", text, "--max-n", "3"],
+            ["antichain", "--perms", text],
+            ["basis", "--closure-of", text, "--max-len", "4"],
         ):
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 assert main(argv) in (0, 1, 2)
+
+
+class TestPermListGrammar:
+    @given(st.lists(perms(min_size=1, max_size=12), min_size=1, max_size=5))
+    @settings(deadline=None)
+    def test_round_trip(self, items):
+        assert _parse_perm_list(";".join(map(str, items))) == items
+        if all(len(q) <= 9 for q in items):
+            assert _parse_perm_list(",".join(map(str, items))) == items

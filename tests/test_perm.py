@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +29,7 @@ from conftest import (
     all_perms,
     brute_contains_through_new_max,
     brute_contains_through_two_new_maxima,
+    contains_oracle,
     perms,
     perms_of,
 )
@@ -38,14 +37,6 @@ from conftest import (
 from permclass.antichain import mu
 
 p = Perm.from_text
-
-
-def contains_oracle(pat, host):
-    k = len(pat)
-    return any(
-        restriction(host, idx) == pat
-        for idx in combinations(range(1, len(host) + 1), k)
-    )
 
 
 class TestPatternOf:
