@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Reproduce the count tables for the four avoidance bases and compare each
-empirical growth ratio with the certified dominant root of its recurrence."""
+empirical growth ratio with the root that `dominant_root` brackets for its
+recurrence (a sign-certified root above 1, not certified to be the largest)."""
 import argparse
 from fractions import Fraction
 

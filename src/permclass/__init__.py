@@ -6,7 +6,6 @@ from .antichain import (
     ClosureOf,
     PermGraph,
     SHORT_BASIS,
-    Tree,
     basis_up_to,
     closure_members,
     double_fork,

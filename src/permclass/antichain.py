@@ -3,10 +3,11 @@ certificates, and finite class/basis computations.
 
 mu(i) (odd i >= 7) is built so that its ascent graph is a double fork: a path
 with one pendant hung on the second and one on the penultimate path vertex.
-Double forks of distinct sizes are mutually non-embeddable, which certifies
-incomparability of the mu's in one direction; the direct pairwise containment
-check is the default verification route.  Both graphs are `PermGraph` values
-(`Tree` is another name for it).  Members of an avoidance class come from the
+The certificate checks only that each mu(i)'s ascent graph is isomorphic to
+the double fork on i vertices; that double forks of distinct sizes do not
+embed in one another is not checked here.  Incomparability itself is
+verified by the direct pairwise containment check.  Both graphs are
+`PermGraph` values.  Members of an avoidance class come from the
 enumeration engine, `enumeration.avoider_levels`.  A downward closure is held
 as sets of value tuples by length, filled in by one-point deletion
 (`perm._delete`); `Perm`s are made only for the sets handed back to callers.
@@ -31,9 +32,6 @@ class PermGraph:
 
     n: int
     edges: frozenset[tuple[int, int]]
-
-
-Tree = PermGraph
 
 
 @dataclass(frozen=True)
@@ -95,29 +93,18 @@ def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]
     return adj
 
 
-def is_tree(g: PermGraph) -> bool:
-    n, edges = g.n, list(g.edges)
-    if n == 0 or len(edges) != n - 1:
-        return False
-    adj = _adjacency(n, edges)
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == n
-
-
-def _centers(n: int, adj: dict[int, list[int]]) -> list[int]:
-    if n == 1:
-        return [1]
+def _centers(g: PermGraph) -> Optional[list[int]]:
+    """The one or two centers of a tree, found by peeling leaves layer by
+    layer; None if g is not a tree.  With n - 1 edges, g is a tree iff it
+    has no cycle, and a cycle's vertices never become leaves, so the peel
+    runs out of leaves with more than 2 vertices left."""
+    if g.n == 0 or len(g.edges) != g.n - 1:
+        return None
+    adj = _adjacency(g.n, g.edges)
     degree = {v: len(adj[v]) for v in adj}
     leaves = deque(v for v, d in degree.items() if d <= 1)
-    remaining = n
-    while remaining > 2:
+    remaining = g.n
+    while remaining > 2 and leaves:
         layer = len(leaves)
         remaining -= layer
         for _ in range(layer):
@@ -128,7 +115,11 @@ def _centers(n: int, adj: dict[int, list[int]]) -> list[int]:
                     degree[w] -= 1
                     if degree[w] == 1:
                         leaves.append(w)
-    return sorted(leaves)
+    return sorted(leaves) if len(leaves) == remaining else None
+
+
+def is_tree(g: PermGraph) -> bool:
+    return _centers(g) is not None
 
 
 def _encode(adj: dict[int, list[int]], root: int, parent: int) -> tuple:
@@ -139,10 +130,11 @@ def _encode(adj: dict[int, list[int]], root: int, parent: int) -> tuple:
 
 def tree_canonical(g: PermGraph) -> tuple:
     """Canonical form of an unlabeled tree: rooted encodings at its center(s)."""
-    if not is_tree(g):
+    centers = _centers(g)
+    if centers is None:
         raise NotATree(f"not a tree: {g.n} vertices, {len(g.edges)} edges")
     adj = _adjacency(g.n, g.edges)
-    return tuple(sorted(_encode(adj, c, 0) for c in _centers(g.n, adj)))
+    return tuple(sorted(_encode(adj, c, 0) for c in centers))
 
 
 def tree_isomorphic(a: PermGraph, b: PermGraph) -> bool:

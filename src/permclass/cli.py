@@ -70,7 +70,8 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one line on stderr, with exit code 2."""
 
     def error(self, message: str):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        # argparse echoes unrecognized arguments raw, line breaks included
+        self.exit(2, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
 
 
 def _emit(lines: list[str], output: str | None) -> None:

@@ -315,7 +315,11 @@ def to_bfile_lines(seq: Sequence[int]) -> list[str]:
 
 def parse_sequence_text(text: str) -> list[int]:
     """Read a sequence from b-file lines, a JSON array, or comma/whitespace
-    separated integers."""
+    separated integers.
+
+    More than one line, each of exactly two fields, is a b-file ("n a(n)"),
+    whose index column must count up by one.
+    """
     s = text.strip()
     if not s:
         raise InvalidSequence("empty sequence input")
@@ -326,13 +330,17 @@ def parse_sequence_text(text: str) -> list[int]:
             raise InvalidSequence(f"bad JSON sequence: {exc}") from None
         if any(type(v) is not int for v in vals):  # rejects floats and bools
             raise InvalidSequence(f"JSON sequence entries must be integers: {s!r}")
+        if not vals:
+            raise InvalidSequence("empty JSON sequence")
         return vals
     try:
         lines = [ln for ln in s.splitlines() if ln.strip() and not ln.startswith("#")]
         if all(len(ln.split()) == 2 for ln in lines) and len(lines) > 1:
             pairs = [(int(a), int(b)) for a, b in (ln.split() for ln in lines)]
-            if [a for a, _ in pairs] == list(range(pairs[0][0], pairs[0][0] + len(pairs))):
-                return [b for _, b in pairs]
+            index = [a for a, _ in pairs]
+            if index != list(range(index[0], index[0] + len(index))):
+                raise ValueError("b-file index column is not consecutive")
+            return [b for _, b in pairs]
         fields = s.split(",")
         if len(fields) > 1 and not all(f.strip() for f in fields):
             raise ValueError(f"empty comma-separated field in {s!r}")

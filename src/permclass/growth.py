@@ -1,9 +1,10 @@
-"""Growth-rate constants: characteristic polynomials and certified real
-dominant roots.
+"""Growth-rate constants: characteristic polynomials and real roots above 1.
 
 Roots are located by bisection with exact rational sign evaluation, so every
 returned estimate carries a bracket on which the polynomial provably changes
-sign.  Degrees here are tiny; correctness beats speed.
+sign, and so holds a root.  That this root is the largest one is not
+certified (see `dominant_root`).  Degrees here are tiny; correctness beats
+speed.
 """
 from __future__ import annotations
 

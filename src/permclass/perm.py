@@ -52,7 +52,7 @@ class Perm:
             except ValueError:
                 raise InvalidSequence(f"bad permutation text: {text!r}")
             return cls(vals)
-        if not s.isdigit():
+        if not s.isdecimal():  # isdigit() also passes '²', which int() rejects
             raise InvalidSequence(f"bad permutation text: {text!r}")
         return cls(tuple(int(ch) for ch in s))
 

@@ -1,35 +1,25 @@
 """Block decompositions of permutations and derived statistics.
 
 A permutation splits uniquely into up-blocks (maximal summands under the
-direct sum) and dually into down-blocks under the skew sum.  From these we
-get the maximal block sizes h+, h-, the greedy interval statistic s_k, and
-the longest-alternating statistic al, which is computed in O(n^2) from runs
-above and below each value threshold, without any containment test.
+direct sum) and dually into down-blocks under the skew sum.  Both come from
+one cut rule on raw values (`_cuts`), which compares entries and never ranks
+them, so it applies unchanged to any slice of a permutation.  From the cuts
+we get the maximal block sizes h+, h-, the greedy interval statistic s_k,
+and the longest-alternating statistic al, which is computed in O(n^2) from
+runs above and below each value threshold, without any containment test.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 from . import perm as P
 from .errors import EmptyInput, UseSegStatUnbounded
 from .perm import Perm
 
-
-class Unbounded:
-    """Singleton marker for an unbounded statistic (s_1)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Unbounded"
-
-
-UNBOUNDED = Unbounded()
+UNBOUNDED = math.inf  # s_1; compares above every integer
 
 
 @dataclass(frozen=True)
@@ -45,61 +35,65 @@ class Decomposition:
         return out
 
 
-def up_blocks(p: Perm) -> list[Perm]:
-    blocks: list[Perm] = []
-    start, mx = 0, 0
-    for i, v in enumerate(p.values, 1):
-        mx = max(mx, v)
-        if mx == i:
-            blocks.append(P.pattern_of(p.values[start:i]))
-            start = i
-    return blocks
+def _cuts(vals: Sequence[int], sign: int) -> list[int]:
+    """0 and the end (exclusive) of each up-block of a sequence of distinct
+    numbers, or of each down-block for sign = -1.
+
+    An up-block ends after index i iff every entry up to i is below every
+    entry after it: prefix max < suffix min.  Only order relations are used,
+    and negating the values turns the down-block rule into this one.
+    """
+    s = [sign * v for v in vals]
+    lows = list(accumulate(reversed(s), min))[::-1] + [math.inf]
+    return [0] + [i for i, hi in enumerate(accumulate(s, max), 1) if hi < lows[i]]
 
 
-def down_blocks(p: Perm) -> list[Perm]:
-    n = len(p)
-    blocks: list[Perm] = []
-    start, mn = 0, n + 1
-    for i, v in enumerate(p.values, 1):
-        mn = min(mn, v)
-        if mn == n - i + 1:
-            blocks.append(P.pattern_of(p.values[start:i]))
-            start = i
-    return blocks
+def _longest_block(vals: Sequence[int], sign: int) -> int:
+    cuts = _cuts(vals, sign)
+    return max(b - a for a, b in zip(cuts, cuts[1:]))
+
+
+def _small(vals: Sequence[int], k: int) -> bool:
+    return _longest_block(vals, 1) < k or _longest_block(vals, -1) < k
+
+
+def _nonempty(p: Perm, what: str) -> tuple[int, ...]:
+    if len(p) == 0:
+        raise EmptyInput(f"{what} of the empty permutation")
+    return p.values
+
+
+def _decomposition(p: Perm, direction: str, sign: int) -> Decomposition:
+    vals = _nonempty(p, "decomposition")
+    cuts = _cuts(vals, sign)
+    blocks = (P.pattern_of(vals[a:b]) for a, b in zip(cuts, cuts[1:]))
+    return Decomposition(direction, tuple(blocks))
 
 
 def up_decomposition(p: Perm) -> Decomposition:
-    if len(p) == 0:
-        raise EmptyInput("decomposition of the empty permutation")
-    return Decomposition("up", tuple(up_blocks(p)))
+    return _decomposition(p, "up", 1)
 
 
 def down_decomposition(p: Perm) -> Decomposition:
-    if len(p) == 0:
-        raise EmptyInput("decomposition of the empty permutation")
-    return Decomposition("down", tuple(down_blocks(p)))
+    return _decomposition(p, "down", -1)
 
 
 def is_up_indecomposable(p: Perm) -> bool:
-    return len(p) > 0 and len(up_blocks(p)) == 1
+    return len(p) > 0 and len(_cuts(p.values, 1)) == 2
 
 
 def is_down_indecomposable(p: Perm) -> bool:
-    return len(p) > 0 and len(down_blocks(p)) == 1
+    return len(p) > 0 and len(_cuts(p.values, -1)) == 2
 
 
 def h_plus(p: Perm) -> int:
     """Maximum up-block length."""
-    if len(p) == 0:
-        raise EmptyInput("h+ of the empty permutation")
-    return max(len(b) for b in up_blocks(p))
+    return _longest_block(_nonempty(p, "h+"), 1)
 
 
 def h_minus(p: Perm) -> int:
     """Maximum down-block length."""
-    if len(p) == 0:
-        raise EmptyInput("h- of the empty permutation")
-    return max(len(b) for b in down_blocks(p))
+    return _longest_block(_nonempty(p, "h-"), -1)
 
 
 def is_alternating(p: Perm) -> bool:
@@ -136,38 +130,33 @@ def al(p: Perm) -> int:
 
 def in_small_block_class(p: Perm, k: int) -> bool:
     """True iff all up-blocks or all down-blocks of p are shorter than k."""
-    return h_plus(p) < k or h_minus(p) < k
+    return _small(_nonempty(p, "block class test"), k)
 
 
 def k_decomposition(p: Perm, k: int) -> list[tuple[int, int]]:
     """Greedy partition of [n] into maximal intervals whose restrictions have
     all up-blocks or all down-blocks shorter than k.  Intervals are returned
-    as inclusive 1-based (start, end) pairs.
+    as inclusive 1-based (start, end) pairs.  The cut rule reads each
+    interval's raw slice of values, which has the blocks of its restriction.
     """
     if k < 2:
         raise UseSegStatUnbounded("k-decomposition needs k >= 2")
-    if len(p) == 0:
-        raise EmptyInput("k-decomposition of the empty permutation")
-    n = len(p)
+    vals = _nonempty(p, "k-decomposition")
     parts: list[tuple[int, int]] = []
-    pos = 1
-    while pos <= n:
-        end = pos
+    start = 0
+    while start < len(vals):
+        end = start + 1
         # membership is downward closed, so the first failure is final
-        while end + 1 <= n and in_small_block_class(
-            P.restriction(p, range(pos, end + 2)), k
-        ):
+        while end < len(vals) and _small(vals[start:end + 1], k):
             end += 1
-        parts.append((pos, end))
-        pos = end + 1
+        parts.append((start + 1, end))
+        start = end
     return parts
 
 
 def s_k(p: Perm, k: int):
-    """Number of intervals of the k-decomposition; Unbounded for k = 1."""
-    if len(p) == 0:
-        raise EmptyInput("s_k of the empty permutation")
+    """Number of intervals of the k-decomposition; UNBOUNDED for k = 1."""
+    _nonempty(p, "s_k")
     if k == 1:
         return UNBOUNDED
     return len(k_decomposition(p, k))
-

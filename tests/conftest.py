@@ -8,7 +8,7 @@ from permclass import Perm
 from permclass import perm as P
 from permclass.enumeration import PAIR_BASIS, QUAD_BASIS
 from permclass.errors import EmptyInput
-from permclass.perm import deletions, pattern_of
+from permclass.perm import deletions, pattern_of, restriction
 
 
 def perms(min_size=0, max_size=6):
@@ -149,3 +149,49 @@ def brute_al(p: Perm) -> int:
             if P.contains(a, p) or P.contains(a, pinv):
                 return m
     raise AssertionError("unreachable: length 1 always matches")
+
+
+def brute_block_lengths(q: Perm, direction: str) -> list[int]:
+    """Up- or down-block lengths of q by the rank rule: an up-block ends at
+    position i iff the first i values are 1..i (their maximum is i), a
+    down-block iff they are n-i+1..n (their minimum is n - i + 1)."""
+    n, lengths, start = len(q), [], 0
+    for i in range(1, n + 1):
+        head = q.values[:i]
+        if (max(head) == i) if direction == "up" else (min(head) == n - i + 1):
+            lengths.append(i - start)
+            start = i
+    return lengths
+
+
+def brute_k_decomposition(q: Perm, k: int) -> list[tuple[int, int]]:
+    """The greedy k-decomposition of q, growing each interval while the
+    restriction to it has all up-blocks or all down-blocks shorter than k."""
+    def small(sub):
+        return any(max(brute_block_lengths(sub, d)) < k for d in ("up", "down"))
+
+    parts, pos = [], 1
+    while pos <= len(q):
+        end = pos
+        while end < len(q) and small(restriction(q, range(pos, end + 2))):
+            end += 1
+        parts.append((pos, end))
+        pos = end + 1
+    return parts
+
+
+def brute_is_tree(g) -> bool:
+    """Whether the graph g is a tree: n - 1 edges and every vertex reached
+    from vertex 1 by a search."""
+    if g.n == 0 or len(g.edges) != g.n - 1:
+        return False
+    seen, stack = {1}, [1]
+    while stack:
+        v = stack.pop()
+        for e in g.edges:
+            if v in e:
+                w = e[0] + e[1] - v
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return len(seen) == g.n

@@ -6,6 +6,7 @@ from conftest import (
     ORACLE_BASES,
     all_perms,
     brute_avoiders,
+    brute_is_tree,
     brute_minimal_non_members,
 )
 from permclass import Perm
@@ -13,7 +14,7 @@ from permclass.antichain import (
     AvoidanceBasis,
     ClosureOf,
     SHORT_BASIS,
-    Tree,
+    PermGraph,
     basis_up_to,
     closure_members,
     double_fork,
@@ -141,7 +142,7 @@ class TestTreeIsomorphism:
     def test_relabeling(self):
         t = double_fork(8)
         shift = {v: v % 8 + 1 for v in range(1, 9)}
-        relabeled = Tree(
+        relabeled = PermGraph(
             8,
             frozenset(
                 tuple(sorted((shift[a], shift[b]))) for a, b in t.edges
@@ -150,16 +151,25 @@ class TestTreeIsomorphism:
         assert tree_isomorphic(t, relabeled)
 
     def test_path_vs_fork(self):
-        path = Tree(7, frozenset((j, j + 1) for j in range(1, 7)))
+        path = PermGraph(7, frozenset((j, j + 1) for j in range(1, 7)))
         assert not tree_isomorphic(path, double_fork(7))
 
     def test_not_a_tree(self):
-        cycle = Tree(3, frozenset({(1, 2), (2, 3), (1, 3)}))
+        cycle = PermGraph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
         with pytest.raises(NotATree):
             tree_canonical(cycle)
-        disconnected = Tree(4, frozenset({(1, 2), (1, 3)}))
+        disconnected = PermGraph(4, frozenset({(1, 2), (1, 3)}))
         with pytest.raises(NotATree):
             tree_canonical(disconnected)
+
+    def test_is_tree_exhaustive(self):
+        # every simple graph on 0..5 vertices, against a search from vertex 1
+        for n in range(6):
+            pairs = list(combinations(range(1, n + 1), 2))
+            for size in range(len(pairs) + 1):
+                for edges in combinations(pairs, size):
+                    g = PermGraph(n, frozenset(edges))
+                    assert is_tree(g) == brute_is_tree(g)
 
 
 class TestIsAntichain:

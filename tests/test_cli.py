@@ -1,7 +1,9 @@
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -166,6 +168,15 @@ class TestOtherCommands:
         )
         assert out.strip() == "order 2: 2,1"
 
+    def test_fit_file_with_index_gap(self, capsys, tmp_path):
+        seq_file = tmp_path / "seq.txt"
+        seq_file.write_text("1 1\n2 2\n3 5\n5 14\n")
+        code, out, err = run(
+            capsys, "fit", "--seq", str(seq_file), "--max-order", "2"
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_fit_no_fit(self, capsys):
         cat = "1,2,5,14,42,132,429,1430,4862,16796,58786,208012"
         code, out, _ = run(capsys, "fit", "--seq", cat, "--max-order", "5")
@@ -178,6 +189,87 @@ class TestOtherCommands:
 
     def test_growth_alpha(self, capsys):
         assert run(capsys, "growth", "--alpha", "2")[1].strip() == "1.61803"
+
+
+# Free text for any field: list and range punctuation, a letter, a line
+# break, and two characters str.isdigit() accepts ('²', which int() rejects,
+# and the Arabic-Indic three, which int() reads as 3).  The second alphabet
+# gives texts that pass a digit test and reach int() more often.
+_TEXT = st.one_of(
+    st.text(alphabet="0123456789,;.-[] x\n²٣", max_size=6),
+    st.text(alphabet="123²٣", min_size=1, max_size=4),
+)
+
+
+def _upto(lo, hi):
+    """A value in lo..hi, or free text none of whose digit runs exceeds hi,
+    so no example asks for a long computation."""
+    return st.one_of(
+        st.integers(lo, hi).map(str),
+        _TEXT.filter(lambda t: all(int(d) <= hi for d in re.findall(r"\d+", t))),
+    )
+
+
+_PERM = st.one_of(_TEXT, perms(max_size=9).map(str))
+_PERM_LIST = st.one_of(
+    _TEXT,
+    st.lists(perms(min_size=1), min_size=1, max_size=3).map(lambda ps: ";".join(map(str, ps))),
+)
+_INTS = st.one_of(
+    _TEXT,
+    st.lists(st.integers(-3, 60), min_size=1, max_size=12).map(lambda v: ",".join(map(str, v))),
+)
+_MU = st.one_of(
+    _upto(7, 25),
+    st.tuples(st.integers(7, 25), st.integers(7, 25)).map(lambda r: "%d..%d" % r),
+)
+_TOL = st.one_of(st.sampled_from(["1e-9", "0.001", "0", "nan", "inf", "-1"]), _TEXT)
+_FLAG = None  # an option that takes no value
+
+# Per subcommand: its positionals, its required options and its other
+# options, each with the values it draws.
+_COMMANDS = [
+    ("count", [], {"--avoid": _PERM_LIST, "--max-n": _upto(1, 7)},
+     {"--format": st.sampled_from(["table", "json", "csv", "bfile", "x"]),
+      "--output": _TEXT}),
+    ("contains", [_PERM, _PERM], {}, {}),
+    ("decompose", [_PERM], {}, {"--k": _upto(-1, 6)}),
+    ("stats", [_PERM], {}, {}),
+    ("mu", [_MU], {}, {}),
+    ("antichain", [], {}, {"--perms": _PERM_LIST, "--mu": _MU,
+                           "--with-short-basis": _FLAG, "--graph-certify": _FLAG}),
+    ("basis", [], {"--closure-of": _PERM_LIST, "--max-len": _upto(1, 6)}, {}),
+    ("fit", [], {"--seq": _INTS, "--max-order": _upto(1, 6)}, {}),
+    ("growth", [], {"--recurrence": _INTS}, {"--tol": _TOL}),
+    ("growth", [], {"--alpha": _upto(-1, 40)}, {"--tol": _TOL, "--recurrence": _INTS}),
+    ("x", [], {}, {}),  # an unknown command
+]
+
+
+@st.composite
+def _argv(draw, out_dir):
+    """A command line: a subcommand with its positionals and options in any
+    order, each with a value.  Now and then a positional or a required
+    option is missing, or an unknown option is added."""
+    def rarely():
+        return draw(st.integers(0, 9)) == 0
+
+    command, positionals, required, optional = draw(st.sampled_from(_COMMANDS))
+    groups = [[draw(v)] for v in positionals if not rarely()]
+    values = {**required, **optional, "--bogus": _TEXT}
+    names = [n for n in required if not rarely()]
+    names += [n for n in optional if draw(st.booleans())]
+    names += ["--bogus"] if rarely() else []
+    for name in names:
+        groups.append([name] if values[name] is _FLAG else [name, draw(values[name])])
+    argv = [command] + [a for g in draw(st.permutations(groups)) for a in g]
+    # --output writes a file: keep it inside a scratch directory
+    return [str(out_dir / a) if prev == "--output" else a for prev, a in zip([""] + argv, argv)]
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz-output")
 
 
 class TestExitCodes:
@@ -232,6 +324,17 @@ class TestExitCodes:
             assert (code, out) == (1, "")
             assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_non_ascii_digits(self, capsys):
+        # '²' passes str.isdigit() but not int()
+        for argv in (
+            ("contains", "²", "12"),
+            ("stats", "1²"),
+            ("count", "--avoid", "²", "--max-n", "3"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert len(err.splitlines()) == 1 and err.startswith("error:")
+
     def test_comma_form_lists_parse(self, capsys):
         for argv in (
             ("antichain", "--perms", f"{MU11};{MU13}"),
@@ -259,21 +362,17 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
-    @given(st.text(alphabet="0123456789,;.x-[] ", max_size=4))
-    @settings(deadline=None)
-    def test_fuzzed_numbers_exit_cleanly(self, text):
-        for argv in (
-            ["contains", text, "21"],
-            ["stats", text],
-            ["mu", text],
-            ["fit", "--seq", text, "--max-order", "1"],
-            ["growth", "--recurrence", text],
-            ["count", "--avoid", text, "--max-n", "3"],
-            ["antichain", "--perms", text],
-            ["basis", "--closure-of", text, "--max-len", "4"],
-        ):
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                assert main(argv) in (0, 1, 2)
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_argv_exits_cleanly(self, out_dir, data):
+        argv = data.draw(_argv(out_dir))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert len(err.getvalue().splitlines()) == 1
 
 
 class TestPermListGrammar:

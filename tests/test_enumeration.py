@@ -253,3 +253,15 @@ class TestSequenceIO:
                      "1,x", "1 x\n2 3", "1,,2", "1, ,2", ",1"):
             with pytest.raises(InvalidSequence):
                 parse_sequence_text(text)
+
+    def test_bfile_index_gap(self):
+        # read as a flat list, the indices would become terms
+        assert parse_sequence_text("0 1\n1 1\n2 2") == [1, 1, 2]
+        for text in ("1 1\n2 2\n4 5", "1 1\n1 2", "2 5\n1 2"):
+            with pytest.raises(InvalidSequence):
+                parse_sequence_text(text)
+
+    def test_empty(self):
+        for text in ("", " \n", "[]", "[ ]"):
+            with pytest.raises(InvalidSequence):
+                parse_sequence_text(text)

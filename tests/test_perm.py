@@ -266,6 +266,10 @@ class TestText:
             Perm.from_text("13")
         with pytest.raises(InvalidSequence):
             Perm.from_text("abc")
+        with pytest.raises(InvalidSequence):
+            Perm.from_text("²")
+        with pytest.raises(InvalidSequence):
+            Perm.from_text("1²3")
 
     def test_delete(self):
         assert delete(p("2143"), 2) == p("132")

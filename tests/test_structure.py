@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permclass import Perm
 from permclass.antichain import mu
@@ -18,6 +19,7 @@ from permclass.perm import (
 )
 from permclass.structure import (
     UNBOUNDED,
+    _cuts,
     al,
     down_decomposition,
     h_minus,
@@ -31,7 +33,14 @@ from permclass.structure import (
     up_decomposition,
 )
 
-from conftest import all_perms, alternating_perms, brute_al, perms
+from conftest import (
+    all_perms,
+    alternating_perms,
+    brute_al,
+    brute_block_lengths,
+    brute_k_decomposition,
+    perms,
+)
 
 p = Perm.from_text
 
@@ -83,6 +92,36 @@ class TestH:
     def test_bounds(self, q):
         assert 1 <= h_plus(q) <= len(q)
         assert 1 <= h_minus(q) <= len(q)
+
+
+def lengths(cuts):
+    return [b - a for a, b in zip(cuts, cuts[1:])]
+
+
+class TestCutRule:
+    """The rank-free cut rule against the rank rule of `brute_block_lengths`."""
+
+    @given(perms(min_size=1, max_size=11), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rank_rule(self, q, data):
+        assert h_plus(q) == max(brute_block_lengths(q, "up"))
+        assert h_minus(q) == max(brute_block_lengths(q, "down"))
+        for k in (2, 3, 4):
+            assert k_decomposition(q, k) == brute_k_decomposition(q, k)
+        # a raw slice has the blocks of its restriction
+        a = data.draw(st.integers(0, len(q) - 1))
+        b = data.draw(st.integers(a + 1, len(q)))
+        sub = restriction(q, range(a + 1, b + 1))
+        assert lengths(_cuts(q.values[a:b], 1)) == brute_block_lengths(sub, "up")
+        assert lengths(_cuts(q.values[a:b], -1)) == brute_block_lengths(sub, "down")
+
+    def test_examples(self):
+        assert _cuts((2, 1, 5, 3, 4), 1) == [0, 2, 5]
+        assert _cuts((30, 10, 20), -1) == [0, 1, 3]
+        assert _cuts((), 1) == [0]
+
+    def test_unbounded_compares_with_integers(self):
+        assert s_k(p("21"), 1) > 10**100
 
 
 class TestAlternating:
