@@ -62,13 +62,13 @@ def mu(i: int) -> Perm:
 
 
 def perm_graph(p: Perm) -> PermGraph:
-    n = len(p)
+    v = p.values
     edges = frozenset(
-        (i, j)
-        for i, j in combinations(range(1, n + 1), 2)
-        if p[i - 1] < p[j - 1]
+        (i + 1, j + 1)
+        for i, j in combinations(range(len(v)), 2)
+        if v[i] < v[j]
     )
-    return PermGraph(n, edges)
+    return PermGraph(len(v), edges)
 
 
 def double_fork(i: int) -> PermGraph:

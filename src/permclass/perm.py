@@ -46,15 +46,12 @@ class Perm:
         s = text.strip()
         if s == "":
             return cls(())
-        if "," in s:
-            try:
-                vals = tuple(int(t) for t in s.split(","))
-            except ValueError:
-                raise InvalidSequence(f"bad permutation text: {text!r}")
-            return cls(vals)
-        if not s.isdecimal():  # isdigit() also passes '²', which int() rejects
+        # int() alone would also take a sign or '_' digit groups, and
+        # isdigit() also passes '²', which int() rejects
+        fields = [t.strip() for t in s.split(",")] if "," in s else list(s)
+        if not all(t.isdecimal() for t in fields):
             raise InvalidSequence(f"bad permutation text: {text!r}")
-        return cls(tuple(int(ch) for ch in s))
+        return cls(tuple(int(t) for t in fields))
 
 
 EMPTY = Perm(())
@@ -104,13 +101,14 @@ def deletions(p: Perm) -> set[Perm]:
     return {Perm(_delete(p.values, i)) for i in range(len(p))}
 
 
-_Refs = tuple[list[int | None], list[int | None]]
+_Refs = tuple[list[int | None], list[int | None], list[int]]
 
 
 def _bounding_refs(pv: Sequence[int]) -> _Refs:
     """For each index j of the pattern values pv, the earlier index whose
     value is the nearest below pv[j], and the one nearest above (None if
-    there is none)."""
+    there is none); and the backjump target of j: the largest index t < j
+    that bounds some entry in this way (-1 if there is none)."""
     k = len(pv)
     lo_ref: list[int | None] = [None] * k
     hi_ref: list[int | None] = [None] * k
@@ -120,7 +118,13 @@ def _bounding_refs(pv: Sequence[int]) -> _Refs:
                 lo_ref[j] = i
             if pv[i] > pv[j] and (hi_ref[j] is None or pv[i] < pv[hi_ref[j]]):
                 hi_ref[j] = i
-    return lo_ref, hi_ref
+    bounding = set(lo_ref) | set(hi_ref)
+    back, t = [], -1
+    for j in range(k):
+        back.append(t)
+        if j in bounding:
+            t = j
+    return lo_ref, hi_ref, back
 
 
 def _occurs_split(refs: _Refs, hv: Sequence[int],
@@ -138,8 +142,20 @@ def _occurs_split(refs: _Refs, hv: Sequence[int],
     and above, which prunes hard on long hosts.  Each entry's first and last
     admissible index (its segment, less room for the segment's later
     entries) are worked out once per call, so the search itself reads them.
+
+    When entry j cannot be placed, the search backjumps to entry back[j],
+    the nearest earlier entry that bounds some entry, instead of moving
+    entry j - 1 on.  This loses no occurrence.  The entries j, j + 1, ...
+    can be placed only through their start index (one past the index of
+    entry j - 1, or the segment start), the fixed windows, and the values of
+    the earlier entries that bound them.  If entry j - 1 bounds no entry,
+    moving it right changes only the start index, and a larger start index
+    leaves a subset of the placements, so entry j fails again.  So no
+    placement of entry j - 1 leads to an occurrence, and the same argument,
+    with entry j - 1 in place of entry j, passes over each entry down to
+    back[j].  With back[j] = -1 no placement of entry 0 leads anywhere.
     """
-    lo_ref, hi_ref = refs
+    lo_ref, hi_ref, back = refs
     k, n = len(lo_ref), len(hv)
     starts: list[int] = []
     stops: list[int] = []
@@ -164,10 +180,10 @@ def _occurs_split(refs: _Refs, hv: Sequence[int],
             chosen[j] = i
             j += 1
             i += 1
-        elif j == 0:
-            return False
-        else:  # entry j cannot be placed: move entry j - 1 on
-            j -= 1
+        else:  # entry j cannot be placed: move entry back[j] on
+            j = back[j]
+            if j < 0:
+                return False
             i = chosen[j] + 1
     return True
 
@@ -177,7 +193,9 @@ def contains(pat: Perm, host: Perm) -> bool:
 
     This is the search `_occurs_split` with no cuts; the enumeration engine
     runs the same search with the cuts at the two largest entries of a basis
-    element.
+    element.  When a pattern entry cannot be placed, the search skips back
+    past the earlier entries that bound no later entry (moving those on
+    cannot help) to the nearest one that does.
     """
     if len(pat) > len(host):
         return False

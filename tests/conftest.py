@@ -1,6 +1,6 @@
 from functools import cache, lru_cache
 from itertools import combinations, permutations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from hypothesis import strategies as st
 
@@ -98,6 +98,44 @@ def brute_contains_through_two_new_maxima(pat, q, p, s):
         both <= set(idx) and pattern_of(tuple(child[i] for i in idx)) == pat
         for idx in combinations(range(len(child)), len(pat))
     )
+
+
+def plain_occurs_split(refs, hv: Sequence[int],
+                       splits: Sequence[int] = (), sites: Sequence[int] = ()) -> bool:
+    """`perm._occurs_split` with chronological backtracking: the same
+    search, but an entry that cannot be placed always moves entry j - 1 on.
+    refs is (lo_ref, hi_ref) from `perm._bounding_refs`."""
+    lo_ref, hi_ref = refs
+    k, n = len(lo_ref), len(hv)
+    starts: list[int] = []
+    stops: list[int] = []
+    a = s = 0
+    for b, t in zip((*splits, k), (*sites, n)):
+        for j in range(a, b):
+            starts.append(s)
+            stops.append(t - b + j + 1)
+        a, s = b, t
+    chosen = [0] * k
+    j = i = 0  # entry j is tried at host indices i, i + 1, ...
+    while j < k:
+        lo, hi = lo_ref[j], hi_ref[j]
+        floor = 0 if lo is None else hv[chosen[lo]]
+        ceiling = n + 1 if hi is None else hv[chosen[hi]]
+        stop = stops[j]
+        if i < starts[j]:
+            i = starts[j]
+        while i < stop and not floor < hv[i] < ceiling:
+            i += 1
+        if i < stop:  # entry j placed: go on to entry j + 1
+            chosen[j] = i
+            j += 1
+            i += 1
+        elif j == 0:
+            return False
+        else:  # entry j cannot be placed: move entry j - 1 on
+            j -= 1
+            i = chosen[j] + 1
+    return True
 
 
 def brute_active_sites(basis, vals):

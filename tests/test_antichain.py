@@ -178,6 +178,10 @@ class TestIsAntichain:
         ok, witness = is_antichain(family)
         assert ok and witness is None
 
+    def test_mu_to_41_with_short_basis(self):
+        family = list(SHORT_BASIS) + [mu(i) for i in range(7, 42, 2)]
+        assert is_antichain(family) == (True, None)
+
     def test_comparable_pair(self):
         ok, witness = is_antichain([p("12"), p("123")])
         assert not ok

@@ -1,12 +1,17 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import permclass
 from conftest import perms
 from permclass import antichain as AC
 from permclass.cli import _parse_perm_list, main
@@ -319,6 +324,7 @@ class TestExitCodes:
             ("count", "--avoid", "123;", "--max-n", "4"),
             ("antichain", "--perms", "2413,,3142"),
             ("basis", "--closure-of", "2413,,3142", "--max-len", "4"),
+            ("contains", "1,+2", "123"),
         ):
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, "")
@@ -334,6 +340,23 @@ class TestExitCodes:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (1, "")
             assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("index, lines", [("7..2001", 1), ("7", 0)])
+    def test_reader_closes_pipe(self, index, lines):
+        # `permclass mu 7..2001 | head -1`, and `permclass mu 7 | true`, whose
+        # one line waits in the stdout buffer for the flush at exit
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(permclass.__file__).parents[1])
+        with subprocess.Popen(
+            [sys.executable, "-m", "permclass.cli", "mu", index],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            for _ in range(lines):
+                assert proc.stdout.readline().startswith(b"7 ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
 
     def test_comma_form_lists_parse(self, capsys):
         for argv in (

@@ -32,6 +32,7 @@ from conftest import (
     contains_oracle,
     perms,
     perms_of,
+    plain_occurs_split,
 )
 
 from permclass.antichain import mu
@@ -142,6 +143,37 @@ class TestContains:
         cuts = (min(top, second), max(top, second) - 1)
         sites = (s, p) if s <= p else (p, s - 1)
         assert _occurs_split(_bounding_refs(rest), q.values, cuts, sites) == want
+
+
+class TestBackjump:
+    @given(perms(min_size=1, max_size=7), perms(max_size=13), st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_chronological_search(self, pat, host, data):
+        k, n = len(pat), len(host)
+        r = data.draw(st.integers(0, 2))
+        splits = sorted(data.draw(st.lists(st.integers(0, k), min_size=r, max_size=r)))
+        sites = sorted(data.draw(st.lists(st.integers(0, n), min_size=r, max_size=r)))
+        refs = _bounding_refs(pat.values)
+        want = plain_occurs_split(refs[:2], host.values, splits, sites)
+        assert _occurs_split(refs, host.values, splits, sites) == want
+
+    @staticmethod
+    def bounds(pv, t):
+        # t bounds entry m > t iff no entry before m has a value strictly
+        # between pv[t] and pv[m]
+        return any(
+            not any(min(pv[t], pv[m]) < pv[i] < max(pv[t], pv[m]) for i in range(m))
+            for m in range(t + 1, len(pv))
+        )
+
+    def test_back_exhaustive(self):
+        # back[j] is the largest t < j that bounds some entry, else -1
+        for k in range(7):
+            for q in all_perms(k):
+                pv = q.values
+                want = [max((t for t in range(j) if self.bounds(pv, t)), default=-1)
+                        for j in range(k)]
+                assert _bounding_refs(pv)[2] == want
 
 
 class TestSymmetries:
@@ -270,6 +302,13 @@ class TestText:
             Perm.from_text("²")
         with pytest.raises(InvalidSequence):
             Perm.from_text("1²3")
+        # int() alone takes a sign or '_' digit groups
+        with pytest.raises(InvalidSequence):
+            Perm.from_text("1,+2")
+        with pytest.raises(InvalidSequence):
+            Perm.from_text("1_0,1,2,3,4,5,6,7,8,9")
+        with pytest.raises(InvalidSequence):
+            Perm.from_text("-1,2")
 
     def test_delete(self):
         assert delete(p("2143"), 2) == p("132")
