@@ -80,28 +80,32 @@ def double_fork(i: int) -> PermGraph:
     edges = {(j, j + 1) for j in range(1, path_len)}
     edges.add((2, path_len + 1))
     edges.add((path_len - 1, path_len + 2))
-    return PermGraph(i, frozenset(tuple(sorted(e)) for e in edges))
+    return PermGraph(i, frozenset(edges))
 
 
-def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = defaultdict(list)
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in range(1, n + 1):
-        adj.setdefault(v, [])
-    return adj
+def tree_canonical(g: PermGraph) -> str:
+    """Canonical form of an unlabeled tree, found by peeling leaves layer by
+    layer; raises NotATree if g is not a tree.  With n - 1 edges, g is a
+    tree iff it has no cycle, and a cycle's vertices never become leaves, so
+    the peel runs out of leaves with more than 2 vertices left.
 
-
-def _centers(g: PermGraph) -> Optional[list[int]]:
-    """The one or two centers of a tree, found by peeling leaves layer by
-    layer; None if g is not a tree.  With n - 1 edges, g is a tree iff it
-    has no cycle, and a cycle's vertices never become leaves, so the peel
-    runs out of leaves with more than 2 vertices left."""
+    A vertex's code is "(" + the sorted codes of its neighbours peeled
+    before it + ")".  A vertex is peeled only after all its neighbours but
+    one, so its code is then final: the rooted code of the subtree hanging
+    from it away from the center(s).  The form is the sorted codes of the
+    one or two centers left at the end; two centers split the tree at their
+    edge into halves, so equal forms mean isomorphic trees.  Codes are
+    strings, not nested tuples, so comparing deep ones needs no recursion.
+    """
+    not_a_tree = NotATree(f"not a tree: {g.n} vertices, {len(g.edges)} edges")
     if g.n == 0 or len(g.edges) != g.n - 1:
-        return None
-    adj = _adjacency(g.n, g.edges)
+        raise not_a_tree
+    adj: dict[int, list[int]] = {v: [] for v in range(1, g.n + 1)}
+    for a, b in g.edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
     degree = {v: len(adj[v]) for v in adj}
+    below: dict[int, list[str]] = {v: [] for v in adj}
     leaves = deque(v for v, d in degree.items() if d <= 1)
     remaining = g.n
     while remaining > 2 and leaves:
@@ -110,31 +114,24 @@ def _centers(g: PermGraph) -> Optional[list[int]]:
         for _ in range(layer):
             v = leaves.popleft()
             degree[v] = 0
+            code = "(" + "".join(sorted(below[v])) + ")"
             for w in adj[v]:
-                if degree[w] > 1:
+                if degree[w] > 0:
+                    below[w].append(code)
                     degree[w] -= 1
                     if degree[w] == 1:
                         leaves.append(w)
-    return sorted(leaves) if len(leaves) == remaining else None
+    if len(leaves) != remaining:
+        raise not_a_tree
+    return "".join(sorted("(" + "".join(sorted(below[c])) + ")" for c in leaves))
 
 
 def is_tree(g: PermGraph) -> bool:
-    return _centers(g) is not None
-
-
-def _encode(adj: dict[int, list[int]], root: int, parent: int) -> tuple:
-    return tuple(
-        sorted(_encode(adj, w, root) for w in adj[root] if w != parent)
-    )
-
-
-def tree_canonical(g: PermGraph) -> tuple:
-    """Canonical form of an unlabeled tree: rooted encodings at its center(s)."""
-    centers = _centers(g)
-    if centers is None:
-        raise NotATree(f"not a tree: {g.n} vertices, {len(g.edges)} edges")
-    adj = _adjacency(g.n, g.edges)
-    return tuple(sorted(_encode(adj, c, 0) for c in centers))
+    try:
+        tree_canonical(g)
+    except NotATree:
+        return False
+    return True
 
 
 def tree_isomorphic(a: PermGraph, b: PermGraph) -> bool:

@@ -210,39 +210,6 @@ def eval_recurrence(r: LinearRecurrence, max_n: int) -> list:
     return [_as_int(v) for v in vals]
 
 
-def _solve_consistent(
-    rows: list[list[Fraction]],
-) -> Optional[list[Fraction]]:
-    """Gaussian elimination on an augmented system; returns a particular
-    solution (free variables zero) or None if inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0]) - 1
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][col]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, len(mat)):
-        if mat[i][-1] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        sol[col] = mat[i][-1]
-    return sol
-
-
 def fit_recurrence(
     seq: Sequence[int], max_order: int
 ) -> Optional[LinearRecurrence]:
@@ -251,6 +218,28 @@ def fit_recurrence(
 
     Requires at least 2*max_order + 2 terms so every candidate order is
     checked against at least two more equations than it has unknowns.
+
+    One Berlekamp-Massey pass (Massey, Shift-register synthesis and BCH
+    decoding, 1969) over the N terms keeps the shortest recurrence C(x) =
+    1 - c_1 x - ... - c_L x^L that makes every term read so far, where a
+    length-L recurrence makes u_n for n = L + 1..N and c_L may be 0.  L is
+    the linear complexity of the terms read; it never decreases, so the
+    pass gives up as soon as L > max_order.  An order-d fit is a length-d
+    recurrence (pad with zero coefficients), so the least order is
+    d = max(L, 1); the all-zero sequence has L = 0 and fits order 1 with
+    coefficient 0.
+
+    The order-L fit (L >= 1) is unique when N >= 2L, and the term count
+    gives N >= 2*max_order + 2 > 2L.
+    Massey's Theorem 1: if a length-l recurrence makes u_1..u_n but not
+    u_{n+1}, every recurrence that makes u_1..u_{n+1} has length at least
+    n + 1 - l.  Let C and C' both have length L and make u_1..u_N, and
+    extend the terms forever by C.  If C' first failed at some u_{n+1},
+    n >= N, the theorem would bound C's length below by n + 1 - L > L.  So
+    C and C' make the same infinite sequence.  If they differed, C - C'
+    divided by its lowest term a x^k (k >= 1) would be a recurrence of
+    length L - k < L that makes it, against the minimality of L.  So the
+    order-L linear equations in c_1..c_L have exactly one solution.
     """
     n_terms = len(seq)
     if n_terms < 2 * max_order + 2:
@@ -258,16 +247,28 @@ def fit_recurrence(
             f"need >= {2 * max_order + 2} terms for max order {max_order}, "
             f"got {n_terms}"
         )
-    for d in range(1, max_order + 1):
-        rows = [
-            [Fraction(seq[n - 1 - i]) for i in range(1, d + 1)]
-            + [Fraction(seq[n - 1])]
-            for n in range(d + 1, n_terms + 1)
-        ]
-        sol = _solve_consistent(rows)
-        if sol is not None:
-            return LinearRecurrence(tuple(sol), tuple(seq[:d]))
-    return None
+    # conn is C(x) from the constant term up; prev is C(x) as it was before
+    # the last change of L, when its discrepancy was prev_disc, shift steps
+    # ago.  Neither has more than L + 1 coefficients.
+    conn, prev, prev_disc, shift, length = [Fraction(1)], [Fraction(1)], 1, 1, 0
+    for n in range(n_terms):
+        disc = sum(c * seq[n - i] for i, c in enumerate(conn))
+        if disc:
+            new = conn + [Fraction(0)] * (len(prev) + shift - len(conn))
+            scale = disc / prev_disc
+            for i, b in enumerate(prev, shift):
+                new[i] -= scale * b
+            if 2 * length <= n:
+                length, prev, prev_disc, shift = n + 1 - length, conn, disc, 0
+                if length > max_order:
+                    return None
+            conn = new
+        shift += 1
+    order = max(length, 1)
+    if order > max_order:
+        return None
+    conn += [Fraction(0)] * (order + 1 - len(conn))
+    return LinearRecurrence(tuple(-c for c in conn[1:]), tuple(seq[:order]))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
+from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, permutations
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from hypothesis import strategies as st
 
 from permclass import Perm
 from permclass import perm as P
-from permclass.enumeration import PAIR_BASIS, QUAD_BASIS
-from permclass.errors import EmptyInput
+from permclass.enumeration import PAIR_BASIS, QUAD_BASIS, LinearRecurrence
+from permclass.errors import EmptyInput, NeedMoreTerms
 from permclass.perm import deletions, pattern_of, restriction
 
 
@@ -233,3 +234,71 @@ def brute_is_tree(g) -> bool:
                     seen.add(w)
                     stack.append(w)
     return len(seen) == g.n
+
+
+def brute_tree_isomorphic(a, b) -> bool:
+    """Whether the trees a and b (at most 7 vertices) are isomorphic: some
+    relabelling of a's vertices maps its edges onto b's."""
+    if a.n != b.n:
+        return False
+    target = {frozenset(e) for e in b.edges}
+    return any(
+        {frozenset((sigma[x - 1], sigma[y - 1])) for x, y in a.edges} == target
+        for sigma in permutations(range(1, a.n + 1))
+    )
+
+
+def _solve_consistent(
+    rows: list[list[Fraction]],
+) -> Optional[list[Fraction]]:
+    """Gaussian elimination on an augmented system; returns a particular
+    solution (free variables zero) or None if inconsistent."""
+    if not rows:
+        return None
+    ncols = len(rows[0]) - 1
+    mat = [row[:] for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][col]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    for i in range(r, len(mat)):
+        if mat[i][-1] != 0:
+            return None
+    sol = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        sol[col] = mat[i][-1]
+    return sol
+
+
+def gauss_fit_recurrence(
+    seq: Sequence[int], max_order: int
+) -> Optional[LinearRecurrence]:
+    """`enumeration.fit_recurrence` by Gaussian elimination at each order
+    from 1 to max_order in turn, the first consistent one winning."""
+    n_terms = len(seq)
+    if n_terms < 2 * max_order + 2:
+        raise NeedMoreTerms(
+            f"need >= {2 * max_order + 2} terms for max order {max_order}, "
+            f"got {n_terms}"
+        )
+    for d in range(1, max_order + 1):
+        rows = [
+            [Fraction(seq[n - 1 - i]) for i in range(1, d + 1)]
+            + [Fraction(seq[n - 1])]
+            for n in range(d + 1, n_terms + 1)
+        ]
+        sol = _solve_consistent(rows)
+        if sol is not None:
+            return LinearRecurrence(tuple(sol), tuple(seq[:d]))
+    return None

@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     ORACLE_BASES,
@@ -8,6 +10,7 @@ from conftest import (
     brute_avoiders,
     brute_is_tree,
     brute_minimal_non_members,
+    brute_tree_isomorphic,
 )
 from permclass import Perm
 from permclass.antichain import (
@@ -129,6 +132,18 @@ class TestDoubleFork:
             double_fork(5)
 
 
+@st.composite
+def labelled_trees(draw, n):
+    """A tree on 1..n: under a random labelling, each vertex after the
+    first hangs from an earlier one."""
+    labels = draw(st.permutations(range(1, n + 1)))
+    edges = frozenset(
+        tuple(sorted((labels[draw(st.integers(0, v - 1))], labels[v])))
+        for v in range(1, n)
+    )
+    return PermGraph(n, edges)
+
+
 class TestTreeIsomorphism:
     def test_mu_certificates(self):
         for i in range(7, 32, 2):
@@ -161,6 +176,13 @@ class TestTreeIsomorphism:
         disconnected = PermGraph(4, frozenset({(1, 2), (1, 3)}))
         with pytest.raises(NotATree):
             tree_canonical(disconnected)
+
+    @given(st.integers(1, 7).flatmap(
+        lambda n: st.tuples(labelled_trees(n), labelled_trees(n))))
+    @settings(max_examples=300, deadline=None)
+    def test_isomorphism_oracle(self, pair):
+        a, b = pair
+        assert tree_isomorphic(a, b) == brute_tree_isomorphic(a, b)
 
     def test_is_tree_exhaustive(self):
         # every simple graph on 0..5 vertices, against a search from vertex 1

@@ -151,6 +151,12 @@ class TestAntichain:
         ]
 
 
+    def test_certificate_mu_999(self, capsys):
+        code, out, _ = run(capsys, "antichain", "--mu", "999", "--graph-certify")
+        assert code == 0
+        assert out.splitlines()[1:] == ["certificate mu_999: tree matches double fork"]
+
+
 class TestOtherCommands:
     def test_basis(self, capsys):
         code, out, _ = run(

@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -5,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ORACLE_BASES, all_perms, brute_active_sites, brute_avoiders
+from conftest import (
+    ORACLE_BASES,
+    all_perms,
+    brute_active_sites,
+    brute_avoiders,
+    gauss_fit_recurrence,
+)
 from permclass import Perm
 from permclass.antichain import AvoidanceBasis, members
 from permclass.enumeration import (
@@ -214,6 +222,44 @@ class TestRecurrences:
         assert fitted is not None
         assert fitted.order <= d
         assert eval_recurrence(fitted, len(seq)) == seq
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_gaussian_elimination(self, data):
+        # zero-heavy, random, or made by a recurrence of order up to
+        # max_order + 2, with at least the 2 * max_order + 2 terms needed
+        max_order = data.draw(st.integers(-1, 6))
+        least = max(0, 2 * max_order + 2)
+        n = data.draw(st.integers(least, least + 10))
+        kind = data.draw(st.sampled_from(["zero-heavy", "random", "recurrence"]))
+        if kind == "zero-heavy":
+            terms = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
+            seq = data.draw(st.lists(terms, min_size=n, max_size=n))
+        elif kind == "random":
+            terms = st.integers(-10**6, 10**6)
+            seq = data.draw(st.lists(terms, min_size=n, max_size=n))
+        else:
+            d = data.draw(st.integers(1, max(1, max_order + 2)))
+            coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+            init = data.draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d))
+            rec = LinearRecurrence(tuple(map(Fraction, coeffs)), tuple(init))
+            seq = eval_recurrence(rec, n)
+        assert fit_recurrence(seq, max_order) == gauss_fit_recurrence(seq, max_order)
+
+    def test_edge_cases_match_gaussian_elimination(self):
+        cases = [([0] * 12, 5), ([0, 0], 0), ([3, 5], 0), ([], -1), ([2], -1)]
+        for seq, max_order in cases:
+            assert fit_recurrence(seq, max_order) == gauss_fit_recurrence(seq, max_order)
+        assert fit_recurrence([0] * 12, 5) == LinearRecurrence((Fraction(0),), (0,))
+        assert fit_recurrence([0, 0], 0) is None
+        assert fit_recurrence([], -1) is None
+
+    def test_random_terms_give_up_early(self):
+        rng = random.Random(0)
+        seq = [rng.randrange(10**9) for _ in range(3000)]
+        start = time.perf_counter()
+        assert fit_recurrence(seq, 5) is None
+        assert time.perf_counter() - start < 5
 
 
 class TestGeneratingFunctions:
