@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Reproduce the count tables for the four avoidance bases and compare each
-empirical growth ratio with the root that `dominant_root` brackets for its
-recurrence (a sign-certified root above 1, not certified to be the largest)."""
+empirical growth ratio with the certified largest root of its fitted
+recurrence's characteristic polynomial, as `dominant_root` brackets it."""
 import argparse
 from fractions import Fraction
 

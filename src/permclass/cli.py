@@ -66,6 +66,21 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+# alpha(i) writes 2^(1-i) exactly, an i-bit number, and prints 2.00000 from
+# i = 18 on; above this cap a request is refused as a usage error.
+ALPHA_MAX_INDEX = 10 ** 6
+
+
+def _alpha_index(text: str) -> int:
+    try:
+        i = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if i > ALPHA_MAX_INDEX:
+        raise argparse.ArgumentTypeError(f"alpha index above {ALPHA_MAX_INDEX}: {text!r}")
+    return i
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one line on stderr, with exit code 2."""
 
@@ -257,10 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--max-order", type=_positive_int, required=True, dest="max_order")
     pf.set_defaults(func=_cmd_fit)
 
-    pg = sub.add_parser("growth", help="dominant root of a recurrence or alpha_i")
+    pg = sub.add_parser("growth", help="certified largest root of a recurrence or alpha_i")
     group = pg.add_mutually_exclusive_group(required=True)
     group.add_argument("--recurrence", default=None, help="c_1..c_d of a(n) = sum c_i a(n-i), read like --seq")
-    group.add_argument("--alpha", type=int, default=None)
+    group.add_argument("--alpha", type=_alpha_index, default=None, help=f"index i, at most {ALPHA_MAX_INDEX}")
     pg.add_argument("--tol", type=float, default=1e-9)
     pg.set_defaults(func=_cmd_growth)
 

@@ -46,7 +46,8 @@ class NeedMoreTerms(PermclassError):
 
 
 class NoRootAboveOne(PermclassError):
-    """No sign change of the polynomial was found in (1, Cauchy bound]."""
+    """The polynomial has no real root in (1, B], B = 1 + max|c_i| (so none
+    above 1): a Sturm count, not a search that found nothing."""
 
 
 class Undefined(PermclassError):

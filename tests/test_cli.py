@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import permclass
 from conftest import perms
 from permclass import antichain as AC
-from permclass.cli import _parse_perm_list, main
+from permclass import growth as GR
+from permclass.cli import ALPHA_MAX_INDEX, _parse_perm_list, main
 from permclass.enumeration import parse_sequence_text
 
 MU11 = "8,11,10,6,9,4,7,1,5,3,2"  # permclass mu 11
@@ -200,6 +201,33 @@ class TestOtherCommands:
 
     def test_growth_alpha(self, capsys):
         assert run(capsys, "growth", "--alpha", "2")[1].strip() == "1.61803"
+
+    def test_growth_repeated_root(self, capsys):
+        # 6,-9 is (x-3)^2, whose double root shows no sign change
+        code, out, _ = run(capsys, "growth", "--recurrence", "6,-9")
+        assert (code, out) == (0, "3.00000\n")
+
+    def test_growth_root_exactly_one(self, capsys):
+        # 0,0,1 is x^3 - 1: its one real root is 1 itself
+        code, out, err = run(capsys, "growth", "--recurrence", "0,0,1")
+        assert (code, out) == (1, "")
+        assert err == "error: no real root in (1, 2]\n"
+
+    def test_growth_alpha_large_index(self, capsys):
+        for index in ("2000", str(ALPHA_MAX_INDEX)):
+            code, out, _ = run(capsys, "growth", "--alpha", index)
+            assert (code, out) == (0, "2.00000\n")
+
+    def test_growth_alpha_cap(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("alpha computed past the cap")
+
+        monkeypatch.setattr(GR, "alpha", refuse)
+        for index in (str(ALPHA_MAX_INDEX + 1), "10" * 20):
+            code, out, err = run(capsys, "growth", "--alpha", index)
+            assert (code, out) == (2, "")
+            assert len(err.splitlines()) == 1 and "error:" in err
+            assert str(ALPHA_MAX_INDEX) in err
 
 
 # Free text for any field: list and range punctuation, a letter, a line
