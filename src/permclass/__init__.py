@@ -22,7 +22,6 @@ from .enumeration import (
     SEED,
     StateVector,
     TRIPLE_BASIS,
-    abcde_census,
     abcde_counts,
     abcde_step,
     count_avoiders,
@@ -38,7 +37,6 @@ from .growth import (
     alpha,
     char_poly,
     dominant_root,
-    empirical_growth,
 )
 from .perm import (
     Perm,

@@ -7,7 +7,8 @@ timestamped.
 
 Permutation lists (--avoid, --perms, --closure-of) use the grammar of
 `_parse_perm_list`; integer lists (--seq, --recurrence) that of
-`enumeration.parse_sequence_text`.
+`enumeration.parse_sequence_text`.  Every integer is an optional sign and
+decimal digits (`enumeration._int_token`), never int()'s '_' digit groups.
 """
 from __future__ import annotations
 
@@ -50,8 +51,8 @@ def _parse_perm_list(text: str) -> list[Perm]:
 def _parse_mu_range(text: str) -> range:
     lo_s, dots, hi_s = text.partition("..")
     try:
-        lo = int(lo_s)
-        hi = int(hi_s) if dots else lo
+        lo = EN._int_token(lo_s)
+        hi = EN._int_token(hi_s) if dots else lo
     except ValueError:
         raise InvalidIndex(f"expected an index or a range lo..hi, got {text!r}") from None
     indices = range(lo | 1, hi + 1, 2)
@@ -73,7 +74,7 @@ ALPHA_MAX_INDEX = 10 ** 6
 
 def _alpha_index(text: str) -> int:
     try:
-        i = int(text)
+        i = EN._int_token(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if i > ALPHA_MAX_INDEX:
@@ -89,15 +90,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {' '.join(message.splitlines())}\n")
 
 
-def _emit(lines: list[str], output: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _render_counts(basis: list[Perm], counts: list[int], fmt: str) -> list[str]:
     if fmt == "json":
         return [
@@ -107,14 +99,14 @@ def _render_counts(basis: list[Perm], counts: list[int], fmt: str) -> list[str]:
         ]
     if fmt == "csv":
         return ["n,count"] + [f"{n},{v}" for n, v in enumerate(counts, 1)]
-    # table and bfile share the "n a(n)" line shape
+    # the table is a b-file: "n a(n)" lines, which `fit --seq` reads
     return EN.to_bfile_lines(counts)
 
 
 def _cmd_count(args) -> int:
     basis = _parse_perm_list(args.avoid)
     counts = EN.count_avoiders(basis, args.max_n)
-    _emit(_render_counts(sorted(basis), counts, args.format), args.output)
+    sys.stdout.write("\n".join(_render_counts(sorted(basis), counts, args.format)) + "\n")
     return 0
 
 
@@ -233,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("count", help="count avoiders of a basis")
     pc.add_argument("--avoid", required=True, help="basis permutations, separated by ';' or by ','")
     pc.add_argument("--max-n", type=_positive_int, required=True, dest="max_n")
-    pc.add_argument("--format", choices=("table", "json", "csv", "bfile"), default="table")
-    pc.add_argument("--output", default=None)
+    pc.add_argument("--format", choices=("table", "json", "csv"), default="table")
     pc.set_defaults(func=_cmd_count)
 
     pk = sub.add_parser("contains", help="does host contain the pattern?")
@@ -244,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("decompose", help="up/down or k-decomposition")
     pd.add_argument("perm")
-    pd.add_argument("--k", type=int, default=None)
+    pd.add_argument("--k", type=EN._int_token, default=None)
     pd.set_defaults(func=_cmd_decompose)
 
     ps = sub.add_parser("stats", help="al, h+, h-, s_k table")

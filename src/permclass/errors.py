@@ -37,10 +37,6 @@ class UseSegStatUnbounded(PermclassError):
     """k-decomposition requested with k < 2; s_1 is unbounded by definition."""
 
 
-class UseSeedVector(PermclassError):
-    """State census requested for n < 2; use the seed vector instead."""
-
-
 class NeedMoreTerms(PermclassError):
     """Recurrence fitting needs more sequence terms for the requested order."""
 
@@ -48,10 +44,6 @@ class NeedMoreTerms(PermclassError):
 class NoRootAboveOne(PermclassError):
     """The polynomial has no real root in (1, B], B = 1 + max|c_i| (so none
     above 1): a Sturm count, not a search that found nothing."""
-
-
-class Undefined(PermclassError):
-    """Growth ratio undefined (sequence too short or non-positive)."""
 
 
 class Unsupported(PermclassError):

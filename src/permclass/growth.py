@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .enumeration import LinearRecurrence
-from .errors import InvalidIndex, NoRootAboveOne, Undefined, Unsupported
+from .errors import InvalidIndex, NoRootAboveOne, Unsupported
 
 
 @dataclass(frozen=True)
@@ -209,15 +209,3 @@ def alpha(i: int, tol: float = 1e-9) -> RootEstimate:
         return n ** i * (n - 2 * d) + d ** (i + 1)
 
     return _bisect(f, 2 - Fraction(1, 2 ** (i - 1)), Fraction(2), tol)
-
-
-class GrowthEstimate(NamedTuple):
-    ratio: float
-    index: int  # n of the numerator term
-
-
-def empirical_growth(seq: Sequence[int]) -> GrowthEstimate:
-    """Ratio of the last two terms; a quick sanity check on asymptotics."""
-    if len(seq) < 2 or seq[-2] <= 0 or seq[-1] <= 0:
-        raise Undefined("growth ratio needs two trailing positive terms")
-    return GrowthEstimate(seq[-1] / seq[-2], len(seq))

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from permclass import Perm
 from permclass import perm as P
-from permclass.enumeration import PAIR_BASIS, QUAD_BASIS, LinearRecurrence
+from permclass.enumeration import (
+    PAIR_BASIS,
+    QUAD_BASIS,
+    LinearRecurrence,
+    StateVector,
+    enumerate_avoiders,
+)
 from permclass.errors import EmptyInput, NeedMoreTerms
 from permclass.perm import deletions, pattern_of, restriction
 
@@ -149,6 +155,27 @@ def brute_active_sites(basis, vals):
             contains_oracle(b, Perm(vals[:s] + (m,) + vals[s:])) for b in basis
         )
     )
+
+
+def abcde_census(n: int) -> StateVector:
+    """The state vector of the five-state machine at length n >= 2, read off
+    the quadruple-basis avoiders of length n by their first one or two
+    values (the n = 1 vector is the machine's SEED)."""
+    assert n >= 2, "the census starts at n = 2"
+    counts = [0, 0, 0, 0, 0]
+    for p in enumerate_avoiders(QUAD_BASIS, n):
+        first = p[0]
+        if first == n - 1:
+            counts[0] += 1
+        elif first == n - 2:
+            counts[1] += 1
+        elif first <= n - 3:
+            counts[2] += 1
+        elif p[1] >= n - 3:
+            counts[3] += 1
+        else:
+            counts[4] += 1
+    return StateVector(*counts)
 
 
 def brute_minimal_non_members(level, max_len):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permclass import Perm
 from permclass.enumeration import (
     LinearRecurrence,
     count_avoiders,
@@ -16,7 +17,6 @@ from permclass.enumeration import (
 from permclass.errors import (
     InvalidIndex,
     NoRootAboveOne,
-    Undefined,
     Unsupported,
 )
 from permclass.growth import (
@@ -24,7 +24,6 @@ from permclass.growth import (
     alpha,
     char_poly,
     dominant_root,
-    empirical_growth,
 )
 
 S_REC = LinearRecurrence(
@@ -213,27 +212,20 @@ class TestAlpha:
 
 
 class TestEmpiricalGrowth:
+    """The ratio of the last two counts against the certified growth."""
+
     def test_quad_table_ratio(self):
         s = count_avoiders(QUAD_BASIS, 12)
-        est = empirical_growth(s)
-        assert est.index == 12
-        assert abs(est.ratio - 10558 / 4521) < 1e-12
-        assert abs(est.ratio - 2.3353) < 1e-3
-
-    def test_constant(self):
-        assert empirical_growth([4, 4, 4]).ratio == 1.0
+        root = dominant_root(char_poly(fit_recurrence(s, 5)))
+        assert s[-2:] == [4521, 10558]
+        assert abs(s[-1] / s[-2] - root.value) < 1e-3
 
     def test_catalan_heads_to_four(self):
-        cat = [comb(2 * n, n) // (n + 1) for n in range(1, 11)]
-        ratios = [cat[i + 1] / cat[i] for i in range(len(cat) - 1)]
+        cat = count_avoiders([Perm.from_text("123")], 10)
+        assert cat == [comb(2 * n, n) // (n + 1) for n in range(1, 11)]
+        ratios = [b / a for a, b in zip(cat, cat[1:])]
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
-        assert 3 < empirical_growth(cat).ratio < 4
-
-    def test_undefined(self):
-        with pytest.raises(Undefined):
-            empirical_growth([5])
-        with pytest.raises(Undefined):
-            empirical_growth([0, 0])
+        assert 3 < ratios[-1] < 4
 
 
 class TestGrowthAboveOne:
