@@ -7,7 +7,6 @@ from .antichain import (
     PermGraph,
     SHORT_BASIS,
     basis_up_to,
-    closure_members,
     double_fork,
     is_antichain,
     mu,

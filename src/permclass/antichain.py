@@ -168,11 +168,6 @@ def _closure_by_length(
     return by_len
 
 
-def closure_members(gens: Iterable[Perm], n: int) -> set[Perm]:
-    """All length-n members of the downward closure of the generators."""
-    return {Perm(vals) for vals in _closure_by_length(gens, n).get(n, ())}
-
-
 def normalize_basis(perms: Iterable[Perm]) -> tuple[Perm, ...]:
     """Keep only the containment-minimal elements.
 
@@ -190,7 +185,7 @@ def members(c: ClassSpec, n: int) -> set[Perm]:
     """Length-n members of the class."""
     if isinstance(c, AvoidanceBasis):
         return EN.enumerate_avoiders(c.perms, n)
-    return closure_members(c.perms, n)
+    return {Perm(vals) for vals in _closure_by_length(c.perms, n).get(n, ())}
 
 
 def basis_up_to(c: ClassSpec, max_len: int) -> set[Perm]:

@@ -7,8 +7,10 @@ timestamped.
 
 Permutation lists (--avoid, --perms, --closure-of) use the grammar of
 `_parse_perm_list`; integer lists (--seq, --recurrence) that of
-`enumeration.parse_sequence_text`.  Every integer is an optional sign and
-decimal digits (`enumeration._int_token`), never int()'s '_' digit groups.
+`_parse_sequence_text`.  Every integer is an optional sign and decimal
+digits (`_int_token`), never int()'s '_' digit groups.  Integer options are
+read by `_int_arg`, which differs between options only in its bounds, and
+--tol by `_float_arg`, which refuses '_' as well.
 """
 from __future__ import annotations
 
@@ -24,6 +26,80 @@ from . import perm as P
 from . import structure as ST
 from .errors import InvalidIndex, InvalidSequence, PermclassError
 from .perm import Perm
+
+
+def _int_token(text: str) -> int:
+    """An integer written as an optional sign and decimal digits, with
+    surrounding whitespace; unlike int(), '_' digit groups are refused.
+    Raises ValueError like int()."""
+    s = text.strip()
+    if not (s[1:] if s.startswith(("+", "-")) else s).isdecimal():
+        raise ValueError(f"bad integer {text!r}")
+    return int(s)
+
+
+def _int_arg(lo: int | None = None, hi: int | None = None):
+    """The argparse type of an integer option: an `_int_token` in lo..hi,
+    where a bound of None is no bound."""
+
+    def read(text: str) -> int:
+        try:
+            i = _int_token(text)
+            if (lo is None or lo <= i) and (hi is None or i <= hi):
+                return i
+        except ValueError:
+            pass
+        bounds = (f" >= {lo}" if lo is not None else "") + (f" <= {hi}" if hi is not None else "")
+        raise argparse.ArgumentTypeError(f"expected an integer{bounds}, got {text!r}")
+
+    return read
+
+
+def _float_arg(text: str) -> float:
+    """float(), with '_' digit groups refused as in `_int_token`; nan and
+    inf pass, for the library to refuse."""
+    try:
+        if "_" not in text:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+
+
+def _parse_sequence_text(text: str) -> list[int]:
+    """Read a sequence from b-file lines, a JSON array, or comma/whitespace
+    separated integers.
+
+    More than one line, each of exactly two fields, is a b-file ("n a(n)"),
+    whose index column must count up by one.
+    """
+    s = text.strip()
+    if not s:
+        raise InvalidSequence("empty sequence input")
+    if s.startswith("["):
+        try:
+            vals = json.loads(s)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidSequence(f"bad JSON sequence: {exc}") from None
+        if any(type(v) is not int for v in vals):  # rejects floats and bools
+            raise InvalidSequence(f"JSON sequence entries must be integers: {s!r}")
+        if not vals:
+            raise InvalidSequence("empty JSON sequence")
+        return vals
+    try:
+        lines = [ln for ln in s.splitlines() if ln.strip() and not ln.startswith("#")]
+        if all(len(ln.split()) == 2 for ln in lines) and len(lines) > 1:
+            pairs = [(_int_token(a), _int_token(b)) for a, b in (ln.split() for ln in lines)]
+            index = [a for a, _ in pairs]
+            if index != list(range(index[0], index[0] + len(index))):
+                raise ValueError("b-file index column is not consecutive")
+            return [b for _, b in pairs]
+        fields = s.split(",")
+        if len(fields) > 1 and not all(f.strip() for f in fields):
+            raise ValueError(f"empty comma-separated field in {s!r}")
+        return [_int_token(t) for f in fields for t in f.split()]
+    except ValueError as exc:
+        raise InvalidSequence(f"not an integer sequence: {exc}") from None
 
 
 def _fields(text: str, sep: str) -> list[str]:
@@ -51,8 +127,8 @@ def _parse_perm_list(text: str) -> list[Perm]:
 def _parse_mu_range(text: str) -> range:
     lo_s, dots, hi_s = text.partition("..")
     try:
-        lo = EN._int_token(lo_s)
-        hi = EN._int_token(hi_s) if dots else lo
+        lo = _int_token(lo_s)
+        hi = _int_token(hi_s) if dots else lo
     except ValueError:
         raise InvalidIndex(f"expected an index or a range lo..hi, got {text!r}") from None
     indices = range(lo | 1, hi + 1, 2)
@@ -61,25 +137,9 @@ def _parse_mu_range(text: str) -> range:
     return indices
 
 
-def _positive_int(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
-
-
 # alpha(i) writes 2^(1-i) exactly, an i-bit number, and prints 2.00000 from
 # i = 18 on; above this cap a request is refused as a usage error.
 ALPHA_MAX_INDEX = 10 ** 6
-
-
-def _alpha_index(text: str) -> int:
-    try:
-        i = EN._int_token(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if i > ALPHA_MAX_INDEX:
-        raise argparse.ArgumentTypeError(f"alpha index above {ALPHA_MAX_INDEX}: {text!r}")
-    return i
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,7 +160,7 @@ def _render_counts(basis: list[Perm], counts: list[int], fmt: str) -> list[str]:
     if fmt == "csv":
         return ["n,count"] + [f"{n},{v}" for n, v in enumerate(counts, 1)]
     # the table is a b-file: "n a(n)" lines, which `fit --seq` reads
-    return EN.to_bfile_lines(counts)
+    return [f"{n} {v}" for n, v in enumerate(counts, 1)]
 
 
 def _cmd_count(args) -> int:
@@ -159,11 +219,11 @@ def _cmd_antichain(args) -> int:
         perms.extend(AC.SHORT_BASIS)
     if not perms:
         raise InvalidSequence("antichain needs --perms and/or --mu")
-    distinct = sorted(set(perms))
-    ok, witness = AC.is_antichain(distinct)
-    pairs = len(distinct) * (len(distinct) - 1) // 2
+    distinct = len(set(perms))
+    ok, witness = AC.is_antichain(perms)
+    pairs = distinct * (distinct - 1) // 2
     if ok:
-        print(f"antichain: yes ({len(distinct)} permutations, {pairs} pairs checked)")
+        print(f"antichain: yes ({distinct} permutations, {pairs} pairs checked)")
     else:
         pat, host = witness
         print(f"antichain: no (witness: {pat} contained in {host})")
@@ -185,12 +245,11 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if os.path.isfile(args.seq):
-        with open(args.seq, encoding="utf-8") as fh:
-            seq = EN.parse_sequence_text(fh.read())
-    else:
-        seq = EN.parse_sequence_text(args.seq)
-    rec = EN.fit_recurrence(seq, args.max_order)
+    text = args.seq
+    if os.path.isfile(text):
+        with open(text, encoding="utf-8") as fh:
+            text = fh.read()
+    rec = EN.fit_recurrence(_parse_sequence_text(text), args.max_order)
     if rec is None:
         print(f"no fit up to order {args.max_order}")
     else:
@@ -203,7 +262,7 @@ def _cmd_growth(args) -> int:
     if args.alpha is not None:
         est = GR.alpha(args.alpha, args.tol)
     else:
-        coeffs = EN.parse_sequence_text(args.recurrence)
+        coeffs = _parse_sequence_text(args.recurrence)
         poly = GR.IntPolynomial((1,) + tuple(-c for c in coeffs))
         est = GR.dominant_root(poly, args.tol)
     print(f"{est.value:.5f}")
@@ -224,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("count", help="count avoiders of a basis")
     pc.add_argument("--avoid", required=True, help="basis permutations, separated by ';' or by ','")
-    pc.add_argument("--max-n", type=_positive_int, required=True, dest="max_n")
+    pc.add_argument("--max-n", type=_int_arg(lo=1), required=True, dest="max_n")
     pc.add_argument("--format", choices=("table", "json", "csv"), default="table")
     pc.set_defaults(func=_cmd_count)
 
@@ -235,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("decompose", help="up/down or k-decomposition")
     pd.add_argument("perm")
-    pd.add_argument("--k", type=EN._int_token, default=None)
+    pd.add_argument("--k", type=_int_arg(), default=None)
     pd.set_defaults(func=_cmd_decompose)
 
     ps = sub.add_parser("stats", help="al, h+, h-, s_k table")
@@ -255,19 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("basis", help="minimal non-members of a closure class")
     pb.add_argument("--closure-of", required=True, dest="closure_of")
-    pb.add_argument("--max-len", type=_positive_int, required=True, dest="max_len")
+    pb.add_argument("--max-len", type=_int_arg(lo=1), required=True, dest="max_len")
     pb.set_defaults(func=_cmd_basis)
 
     pf = sub.add_parser("fit", help="fit a linear recurrence to a sequence")
     pf.add_argument("--seq", required=True, help="file path or inline integers")
-    pf.add_argument("--max-order", type=_positive_int, required=True, dest="max_order")
+    pf.add_argument("--max-order", type=_int_arg(lo=1), required=True, dest="max_order")
     pf.set_defaults(func=_cmd_fit)
 
     pg = sub.add_parser("growth", help="certified largest root of a recurrence or alpha_i")
     group = pg.add_mutually_exclusive_group(required=True)
     group.add_argument("--recurrence", default=None, help="c_1..c_d of a(n) = sum c_i a(n-i), read like --seq")
-    group.add_argument("--alpha", type=_alpha_index, default=None, help=f"index i, at most {ALPHA_MAX_INDEX}")
-    pg.add_argument("--tol", type=float, default=1e-9)
+    group.add_argument("--alpha", type=_int_arg(hi=ALPHA_MAX_INDEX), default=None, help=f"index i, at most {ALPHA_MAX_INDEX}")
+    pg.add_argument("--tol", type=_float_arg, default=1e-9)
     pg.set_defaults(func=_cmd_growth)
 
     return parser

@@ -15,10 +15,11 @@ deletion.
 The five-state insertion machine is hard-wired to the quadruple
 basis {123, 3214, 2143, 15432}; the tests check it against a census of the
 generic enumerator's avoiders.
+Everything here takes and returns numbers: reading sequences from text is
+the CLI's job.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ from itertools import count, islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import perm as P
-from .errors import InvalidSequence, NeedMoreTerms
+from .errors import NeedMoreTerms
 from .perm import Perm
 
 QUAD_BASIS = tuple(Perm.from_text(t) for t in ("123", "3214", "2143", "15432"))
@@ -286,54 +287,3 @@ def gf_from_recurrence(r: LinearRecurrence) -> RationalGF:
     while len(num) > 1 and num[-1] == 0:
         num.pop()
     return RationalGF(tuple(num), tuple(den))
-
-
-def _int_token(text: str) -> int:
-    """An integer written as an optional sign and decimal digits, with
-    surrounding whitespace; unlike int(), '_' digit groups are refused.
-    Raises ValueError like int()."""
-    s = text.strip()
-    if not (s[1:] if s.startswith(("+", "-")) else s).isdecimal():
-        raise ValueError(f"bad integer {text!r}")
-    return int(s)
-
-
-def to_bfile_lines(seq: Sequence[int]) -> list[str]:
-    """OEIS b-file style lines, 1-indexed."""
-    return [f"{n} {v}" for n, v in enumerate(seq, 1)]
-
-
-def parse_sequence_text(text: str) -> list[int]:
-    """Read a sequence from b-file lines, a JSON array, or comma/whitespace
-    separated integers.
-
-    More than one line, each of exactly two fields, is a b-file ("n a(n)"),
-    whose index column must count up by one.
-    """
-    s = text.strip()
-    if not s:
-        raise InvalidSequence("empty sequence input")
-    if s.startswith("["):
-        try:
-            vals = json.loads(s)
-        except (ValueError, RecursionError) as exc:
-            raise InvalidSequence(f"bad JSON sequence: {exc}") from None
-        if any(type(v) is not int for v in vals):  # rejects floats and bools
-            raise InvalidSequence(f"JSON sequence entries must be integers: {s!r}")
-        if not vals:
-            raise InvalidSequence("empty JSON sequence")
-        return vals
-    try:
-        lines = [ln for ln in s.splitlines() if ln.strip() and not ln.startswith("#")]
-        if all(len(ln.split()) == 2 for ln in lines) and len(lines) > 1:
-            pairs = [(_int_token(a), _int_token(b)) for a, b in (ln.split() for ln in lines)]
-            index = [a for a, _ in pairs]
-            if index != list(range(index[0], index[0] + len(index))):
-                raise ValueError("b-file index column is not consecutive")
-            return [b for _, b in pairs]
-        fields = s.split(",")
-        if len(fields) > 1 and not all(f.strip() for f in fields):
-            raise ValueError(f"empty comma-separated field in {s!r}")
-        return [_int_token(t) for f in fields for t in f.split()]
-    except ValueError as exc:
-        raise InvalidSequence(f"not an integer sequence: {exc}") from None

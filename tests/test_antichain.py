@@ -19,7 +19,6 @@ from permclass.antichain import (
     SHORT_BASIS,
     PermGraph,
     basis_up_to,
-    closure_members,
     double_fork,
     is_antichain,
     is_tree,
@@ -230,10 +229,10 @@ class TestIsAntichain:
 
 class TestClosure:
     def test_single_descent(self):
-        assert closure_members([p("21")], 2) == {p("21")}
+        assert members(ClosureOf((p("21"),)), 2) == {p("21")}
 
     def test_patterns_of_2413(self):
-        assert closure_members([p("2413")], 3) == {
+        assert members(ClosureOf((p("2413"),)), 3) == {
             p("132"),
             p("213"),
             p("231"),
@@ -241,13 +240,13 @@ class TestClosure:
         }
 
     def test_empty_generators(self):
-        assert closure_members([], 3) == set()
+        assert members(ClosureOf(()), 3) == set()
 
     def test_downward_closed(self):
-        gens = [p("2413"), p("35142")]
+        spec = ClosureOf((p("2413"), p("35142")))
         for n in range(2, 5):
-            level = closure_members(gens, n)
-            below = closure_members(gens, n - 1)
+            level = members(spec, n)
+            below = members(spec, n - 1)
             for q in level:
                 assert deletions(q) <= below
 

@@ -15,8 +15,8 @@ import permclass
 from conftest import perms
 from permclass import antichain as AC
 from permclass import growth as GR
-from permclass.cli import ALPHA_MAX_INDEX, _parse_perm_list, main
-from permclass.enumeration import parse_sequence_text
+from permclass.cli import ALPHA_MAX_INDEX, _parse_perm_list, _parse_sequence_text, main
+from permclass.errors import InvalidSequence
 
 MU11 = "8,11,10,6,9,4,7,1,5,3,2"  # permclass mu 11
 MU13 = "10,13,12,8,11,6,9,4,7,1,5,3,2"  # permclass mu 13
@@ -57,7 +57,7 @@ class TestCount:
             capsys, "count", "--avoid", "123,3214", "--max-n", "8"
         )
         assert code == 0
-        assert parse_sequence_text(out) == [1, 2, 5, 13, 34, 89, 233, 610]
+        assert _parse_sequence_text(out) == [1, 2, 5, 13, 34, 89, 233, 610]
 
     def test_semicolon_list_with_long_perms(self, capsys):
         code, out, _ = run(
@@ -307,6 +307,7 @@ class TestExitCodes:
             ("basis", "--closure-of", "2413", "--max-len", "0"),
             ("basis", "--closure-of", "2413", "--max-len", "-1"),
             ("fit", "--seq", "1,2,3,4", "--max-order", "-1"),
+            ("decompose", "2143", "--k", "x"),
             ("count", "--avoid", "123", "--max-n", "3", "--sep", ";"),
             ("antichain", "--perms", "12", "--sep", ";"),
             ("basis", "--closure-of", "2413", "--max-len", "4", "--sep", ";"),
@@ -354,12 +355,17 @@ class TestExitCodes:
           "--max-order", "5"), 1),
         (("fit", "--seq", "1 1\n2 2\n3 5\n4 1_2", "--max-order", "1"), 1),
         (("fit", "--seq", "1 1\n2 2\n3 5\n4_0 12", "--max-order", "1"), 1),
+        (("growth", "--alpha", "5", "--tol", "1_0e-3"), 2),
     ])
     def test_digit_group_underscores_refused(self, capsys, argv, code):
-        # int() reads '1_0' as 10; no integer the CLI reads may
+        # int() reads '1_0' as 10, and float() '1_0e-3' as 0.01; no number
+        # the CLI reads may
         got, out, err = run(capsys, *argv)
         assert (got, out) == (code, "")
         assert len(err.splitlines()) == 1 and "error:" in err
+        if code == 2:  # names the option and what it reads, not a helper
+            assert f"argument {argv[-2]}: expected a" in err
+            assert "_int_token" not in err
 
     def test_non_ascii_digits(self, capsys):
         # '²' passes str.isdigit() but not int()
@@ -419,6 +425,42 @@ class TestExitCodes:
         assert "Traceback" not in err.getvalue()
         if code:
             assert len(err.getvalue().splitlines()) == 1
+
+
+class TestSequenceIO:
+    def test_bfile_round_trip(self, capsys):
+        _, out, _ = run(
+            capsys, "count", "--avoid", "123,3214,2143,15432", "--max-n", "12"
+        )
+        lines = out.splitlines()
+        assert lines[0] == "1 1"
+        assert lines[-1] == "12 10558"
+        assert _parse_sequence_text(out) == [
+            1, 2, 5, 12, 28, 65, 152, 355, 829, 1936, 4521, 10558
+        ]
+
+    def test_inline_and_json(self):
+        assert _parse_sequence_text("1, 2, 5") == [1, 2, 5]
+        assert _parse_sequence_text("[1, 2, 5]") == [1, 2, 5]
+        assert _parse_sequence_text("1 2 5") == [1, 2, 5]
+
+    def test_malformed_text(self):
+        for text in ("[1,2", "[1.5,2]", "[true]", "[[1]]", "[" * 100_000,
+                     "1,x", "1 x\n2 3", "1,,2", "1, ,2", ",1"):
+            with pytest.raises(InvalidSequence):
+                _parse_sequence_text(text)
+
+    def test_bfile_index_gap(self):
+        # read as a flat list, the indices would become terms
+        assert _parse_sequence_text("0 1\n1 1\n2 2") == [1, 1, 2]
+        for text in ("1 1\n2 2\n4 5", "1 1\n1 2", "2 5\n1 2"):
+            with pytest.raises(InvalidSequence):
+                _parse_sequence_text(text)
+
+    def test_empty(self):
+        for text in ("", " \n", "[]", "[ ]"):
+            with pytest.raises(InvalidSequence):
+                _parse_sequence_text(text)
 
 
 class TestPermListGrammar:

@@ -32,10 +32,8 @@ from permclass.enumeration import (
     eval_recurrence,
     fit_recurrence,
     gf_from_recurrence,
-    parse_sequence_text,
-    to_bfile_lines,
 )
-from permclass.errors import InvalidSequence, NeedMoreTerms
+from permclass.errors import NeedMoreTerms
 from permclass.perm import delete, inverse
 
 p = Perm.from_text
@@ -278,34 +276,3 @@ class TestGeneratingFunctions:
     def test_series_matches_eval(self):
         for rec in (S_REC, T_REC):
             assert gf_from_recurrence(rec).series(25) == eval_recurrence(rec, 25)
-
-
-class TestSequenceIO:
-    def test_bfile_round_trip(self):
-        lines = to_bfile_lines(S_TABLE)
-        assert lines[0] == "1 1"
-        assert lines[-1] == "12 10558"
-        assert parse_sequence_text("\n".join(lines)) == S_TABLE
-
-    def test_inline_and_json(self):
-        assert parse_sequence_text("1, 2, 5") == [1, 2, 5]
-        assert parse_sequence_text("[1, 2, 5]") == [1, 2, 5]
-        assert parse_sequence_text("1 2 5") == [1, 2, 5]
-
-    def test_malformed_text(self):
-        for text in ("[1,2", "[1.5,2]", "[true]", "[[1]]", "[" * 100_000,
-                     "1,x", "1 x\n2 3", "1,,2", "1, ,2", ",1"):
-            with pytest.raises(InvalidSequence):
-                parse_sequence_text(text)
-
-    def test_bfile_index_gap(self):
-        # read as a flat list, the indices would become terms
-        assert parse_sequence_text("0 1\n1 1\n2 2") == [1, 1, 2]
-        for text in ("1 1\n2 2\n4 5", "1 1\n1 2", "2 5\n1 2"):
-            with pytest.raises(InvalidSequence):
-                parse_sequence_text(text)
-
-    def test_empty(self):
-        for text in ("", " \n", "[]", "[ ]"):
-            with pytest.raises(InvalidSequence):
-                parse_sequence_text(text)
