@@ -14,6 +14,7 @@ as sets of value tuples by length, filled in by one-point deletion
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -62,13 +63,16 @@ def mu(i: int) -> Perm:
 
 
 def perm_graph(p: Perm) -> PermGraph:
+    """The ascent graph of p, in O(n log n + edges): visit the indices in
+    increasing order of value; the ascents ending at index j are then the
+    pairs (i, j) with i an index already seen and i < j."""
     v = p.values
-    edges = frozenset(
-        (i + 1, j + 1)
-        for i, j in combinations(range(len(v)), 2)
-        if v[i] < v[j]
-    )
-    return PermGraph(len(v), edges)
+    seen: list[int] = []  # sorted
+    edges: list[tuple[int, int]] = []
+    for j in sorted(range(len(v)), key=v.__getitem__):
+        edges.extend((i + 1, j + 1) for i in seen[:bisect_left(seen, j)])
+        insort(seen, j)
+    return PermGraph(len(v), frozenset(edges))
 
 
 def double_fork(i: int) -> PermGraph:

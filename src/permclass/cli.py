@@ -245,11 +245,16 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    text = args.seq
-    if os.path.isfile(text):
-        with open(text, encoding="utf-8") as fh:
-            text = fh.read()
-    rec = EN.fit_recurrence(_parse_sequence_text(text), args.max_order)
+    # inline text first, so that a file in the working directory named like
+    # a sequence cannot change what a sequence means
+    try:
+        seq = _parse_sequence_text(args.seq)
+    except InvalidSequence:
+        if not os.path.isfile(args.seq):
+            raise
+        with open(args.seq, encoding="utf-8") as fh:
+            seq = _parse_sequence_text(fh.read())
+    rec = EN.fit_recurrence(seq, args.max_order)
     if rec is None:
         print(f"no fit up to order {args.max_order}")
     else:
@@ -318,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.set_defaults(func=_cmd_basis)
 
     pf = sub.add_parser("fit", help="fit a linear recurrence to a sequence")
-    pf.add_argument("--seq", required=True, help="file path or inline integers")
+    pf.add_argument("--seq", required=True, help="inline integers, or else a file path")
     pf.add_argument("--max-order", type=_int_arg(lo=1), required=True, dest="max_order")
     pf.set_defaults(func=_cmd_fit)
 

@@ -10,6 +10,8 @@ otherwise ("8,11,10,6,9,4,7,1,5,3,2").  str() emits the same convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInflation, InvalidPointSet, InvalidSequence
@@ -134,7 +136,9 @@ def _occurs_split(refs: _Refs, hv: Sequence[int],
     segments: with splits = (c_1, ..., c_r) and sites = (s_1, ..., s_r), both
     non-decreasing, the pattern entries at indices in [c_g, c_{g+1}) lie at
     host indices in [s_g, s_{g+1}), where c_0 = s_0 = 0, c_{r+1} is the
-    pattern length and s_{r+1} = len(hv).  No cuts means plain containment.
+    pattern length and s_{r+1} = len(hv).  No cuts means plain containment;
+    the enumeration engine runs it with cuts, and the tests run it with none
+    as the reference for `contains`, which has a search of its own.
 
     Depth-first search over candidate positions, kept on an explicit stack
     (`chosen`): each candidate value must lie strictly between the
@@ -188,18 +192,90 @@ def _occurs_split(refs: _Refs, hv: Sequence[int],
     return True
 
 
+def _below_masks(vals: Sequence[int]) -> list[int]:
+    """lt[c] for c = 0, ..., n + 1: the bitmask of the indices of the
+    permutation values vals (of 1..n) whose value is below c."""
+    where = [0] * (len(vals) + 1)
+    for x, v in enumerate(vals):
+        where[v] = x
+    lt = [0, 0]
+    for x in where[1:]:
+        lt.append(lt[-1] | 1 << x)
+    return lt
+
+
+def _quadrants(vals: Sequence[int], lt: Sequence[int]) -> list[tuple[int, int, int, int]]:
+    """For each index x of the permutation values vals, with lt their
+    `_below_masks`, the numbers of entries earlier and below, earlier and
+    above, later and below, and later and above entry x."""
+    n = len(vals)
+    out = []
+    for x, w in enumerate(vals):
+        eb = (lt[w] & ((1 << x) - 1)).bit_count()
+        out.append((eb, x - eb, w - 1 - eb, n - w - x + eb))
+    return out
+
+
+def _quadrant_candidates(pv: Sequence[int], hv: Sequence[int], lt: Sequence[int]) -> list[int]:
+    """For each index j of the pattern values pv, the bitmask of the host
+    indices whose four `_quadrants` counts are each at least entry j's; lt is
+    the host's `_below_masks`.  Needs len(pv) <= len(hv)."""
+    a, b, c, d = ([0] * len(hv) for _ in range(4))  # by quadrant, then count
+    for x, (e, f, g, h) in enumerate(_quadrants(hv, lt)):
+        bit = 1 << x
+        a[e] |= bit
+        b[f] |= bit
+        c[g] |= bit
+        d[h] |= bit
+    # suffix unions: a[t] becomes the indices whose first count is >= t, ...
+    a, b, c, d = (list(accumulate(row[::-1], or_))[::-1] for row in (a, b, c, d))
+    return [a[e] & b[f] & c[g] & d[h] for e, f, g, h in _quadrants(pv, _below_masks(pv))]
+
+
 def contains(pat: Perm, host: Perm) -> bool:
     """True iff host has a subsequence order-isomorphic to pat.
 
-    This is the search `_occurs_split` with no cuts; the enumeration engine
-    runs the same search with the cuts at the two largest entries of a basis
-    element.  When a pattern entry cannot be placed, the search skips back
-    past the earlier entries that bound no later entry (moving those on
-    cannot help) to the nearest one that does.
+    The search of `_occurs_split` with no cuts and the same backjumps, with
+    two changes.  Host indices are sets of bits: lt[c] holds those whose
+    value is below c, so the admissible indices for entry j, from index i
+    on, are one mask, and its lowest bit is the next placement.  And entry j
+    may go only to the indices in cand[j]: those whose quadrant counts
+    (earlier/later entries, below/above in value) are each at least entry
+    j's.  That loses no occurrence (the quadrant lemma): an occurrence sends
+    the entries before and below entry j one-to-one to entries before and
+    below the image of j, and likewise in the other three quadrants.  Since
+    every entry after j needs a later host index, this also keeps room for
+    them, as the windows of `_occurs_split` do.  The backjump argument there
+    holds unchanged, because each cand[j] is fixed for the whole search, as
+    the windows are.  If some cand[j] is empty, there is no occurrence.
     """
-    if len(pat) > len(host):
+    pv, hv = pat.values, host.values
+    k, n = len(pv), len(hv)
+    if k > n:
         return False
-    return _occurs_split(_bounding_refs(pat.values), host.values)
+    lt = _below_masks(hv)
+    cand = _quadrant_candidates(pv, hv, lt)
+    if not all(cand):
+        return False
+    lo_ref, hi_ref, back = _bounding_refs(pv)
+    chosen = [0] * k
+    j = i = 0  # entry j is tried at host indices i, i + 1, ...
+    while j < k:
+        lo, hi = lo_ref[j], hi_ref[j]
+        floor = 0 if lo is None else hv[chosen[lo]]
+        ceiling = n + 1 if hi is None else hv[chosen[hi]]
+        fits = ((lt[ceiling] ^ lt[floor + 1]) & cand[j]) >> i
+        if fits:  # entry j placed at its lowest fitting index
+            i += (fits & -fits).bit_length() - 1
+            chosen[j] = i
+            j += 1
+            i += 1
+        else:  # entry j cannot be placed: move entry back[j] on
+            j = back[j]
+            if j < 0:
+                return False
+            i = chosen[j] + 1
+    return True
 
 
 def inverse(p: Perm) -> Perm:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from permclass import Perm
 from permclass import perm as P
+from permclass.antichain import PermGraph
 from permclass.enumeration import (
     PAIR_BASIS,
     QUAD_BASIS,
@@ -244,6 +245,17 @@ def brute_k_decomposition(q: Perm, k: int) -> list[tuple[int, int]]:
         parts.append((pos, end))
         pos = end + 1
     return parts
+
+
+def brute_perm_graph(q: Perm) -> PermGraph:
+    """The ascent graph of q, from all index pairs."""
+    v = q.values
+    edges = frozenset(
+        (i + 1, j + 1)
+        for i, j in combinations(range(len(v)), 2)
+        if v[i] < v[j]
+    )
+    return PermGraph(len(v), edges)
 
 
 def brute_is_tree(g) -> bool:

@@ -10,7 +10,9 @@ from conftest import (
     brute_avoiders,
     brute_is_tree,
     brute_minimal_non_members,
+    brute_perm_graph,
     brute_tree_isomorphic,
+    perms_of,
 )
 from permclass import Perm
 from permclass.antichain import (
@@ -85,6 +87,20 @@ class TestPermGraph:
 
     def test_decreasing_edgeless(self):
         assert perm_graph(decreasing(6)).edges == frozenset()
+
+    def test_matches_brute_force_exhaustive(self):
+        for n in range(8):
+            for q in all_perms(n):
+                assert perm_graph(q) == brute_perm_graph(q)
+
+    @given(perms_of(30))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_brute_force_length_30(self, q):
+        assert perm_graph(q) == brute_perm_graph(q)
+
+    def test_matches_brute_force_mu(self):
+        for i in range(7, 52, 2):
+            assert perm_graph(mu(i)) == brute_perm_graph(mu(i))
 
     def test_monotone_under_containment(self):
         # the ascent graph of a restriction is the induced subgraph on the

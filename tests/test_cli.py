@@ -179,6 +179,13 @@ class TestOtherCommands:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and err.startswith("error:")
 
+    def test_fit_inline_text_beats_a_file_of_that_name(self, capsys, tmp_path, monkeypatch):
+        # a file named like the sequence does not change what it means
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "1,1,1,1").write_text("1 1\n2 2\n3 5\n4 12\n5 29\n")
+        code, out, _ = run(capsys, "fit", "--seq", "1,1,1,1", "--max-order", "1")
+        assert (code, out) == (0, "order 1: 1\n")
+
     def test_fit_no_fit(self, capsys):
         cat = "1,2,5,14,42,132,429,1430,4862,16796,58786,208012"
         code, out, _ = run(capsys, "fit", "--seq", cat, "--max-order", "5")

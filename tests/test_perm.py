@@ -10,8 +10,11 @@ from permclass.errors import (
 )
 from permclass.perm import (
     EMPTY,
+    _below_masks,
     _bounding_refs,
     _occurs_split,
+    _quadrant_candidates,
+    _quadrants,
     complement,
     contains,
     delete,
@@ -35,7 +38,7 @@ from conftest import (
     plain_occurs_split,
 )
 
-from permclass.antichain import mu
+from permclass.antichain import SHORT_BASIS, mu
 
 p = Perm.from_text
 
@@ -143,6 +146,92 @@ class TestContains:
         cuts = (min(top, second), max(top, second) - 1)
         sites = (s, p) if s <= p else (p, s - 1)
         assert _occurs_split(_bounding_refs(rest), q.values, cuts, sites) == want
+
+
+def reference_contains(pat, host):
+    """`_occurs_split` with no cuts: the scan that `contains` replaces."""
+    return len(pat) <= len(host) and _occurs_split(_bounding_refs(pat.values), host.values)
+
+
+@st.composite
+def long_host_and_indices(draw, max_k=30):
+    """A host of length 40-80 and a sorted set of 2 to max_k of its indices."""
+    host = draw(st.integers(40, 80).flatmap(perms_of))
+    k = draw(st.integers(2, max_k))
+    idx = sorted(draw(st.lists(st.integers(0, len(host) - 1), min_size=k, max_size=k,
+                               unique=True)))
+    return host, idx
+
+
+class TestContainsDifferential:
+    """`contains` (bitmask scan and quadrant filter) against the plain scan."""
+
+    @given(long_host_and_indices())
+    @settings(max_examples=100, deadline=None)
+    def test_yes_on_long_hosts(self, case):
+        # a pattern taken out of the host occurs in it
+        host, idx = case
+        pat = pattern_of(host.values[i] for i in idx)
+        assert contains(pat, host)
+        assert reference_contains(pat, host)
+
+    @given(long_host_and_indices(max_k=20), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_near_misses_on_long_hosts(self, case, data):
+        # a pattern taken out of the host with two values swapped: mostly
+        # "no", and found so only after a long search
+        host, idx = case
+        vals = [host.values[i] for i in idx]
+        a = data.draw(st.integers(0, len(vals) - 2))
+        vals[a], vals[a + 1] = vals[a + 1], vals[a]
+        pat = pattern_of(vals)
+        assert contains(pat, host) == reference_contains(pat, host)
+
+    @given(st.integers(40, 80).flatmap(perms_of), st.integers(6, 16).flatmap(perms_of))
+    @settings(max_examples=100, deadline=None)
+    def test_random_pairs_on_long_hosts(self, host, pat):
+        assert contains(pat, host) == reference_contains(pat, host)
+
+    def test_some_no_on_long_hosts(self):
+        # the host's longest increasing subsequences have length 2
+        host = Perm((1,) + tuple(range(60, 1, -1)))
+        assert not contains(identity(3), host)
+        assert not reference_contains(identity(3), host)
+        assert contains(identity(2), host)
+
+    def test_short_basis_and_mu_pairs(self):
+        items = sorted(set(SHORT_BASIS) | {mu(i) for i in range(7, 42, 2)})
+        for a in items:
+            for b in items:
+                assert contains(a, b) == reference_contains(a, b), (a, b)
+
+
+class TestQuadrantLemma:
+    @given(perms(max_size=9))
+    def test_quadrant_counts(self, q):
+        v = q.values
+        want = [
+            (
+                sum(v[i] < v[x] for i in range(x)),
+                sum(v[i] > v[x] for i in range(x)),
+                sum(v[i] < v[x] for i in range(x + 1, len(v))),
+                sum(v[i] > v[x] for i in range(x + 1, len(v))),
+            )
+            for x in range(len(v))
+        ]
+        assert _quadrants(v, _below_masks(v)) == want
+
+    @given(perms(min_size=1, max_size=12), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_every_occurrence_is_a_candidate(self, host, data):
+        # an occurrence at indices idx maps pattern entry j to idx[j], which
+        # must be in entry j's candidate set
+        k = data.draw(st.integers(1, len(host)))
+        idx = sorted(data.draw(st.lists(st.integers(0, len(host) - 1), min_size=k,
+                                        max_size=k, unique=True)))
+        pat = pattern_of(host.values[i] for i in idx)
+        cand = _quadrant_candidates(pat.values, host.values, _below_masks(host.values))
+        assert all(cand[j] >> x & 1 for j, x in enumerate(idx))
 
 
 class TestBackjump:
