@@ -10,6 +10,7 @@ otherwise ("8,11,10,6,9,4,7,1,5,3,2").  str() emits the same convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from operator import or_
 from typing import Iterable, Iterator, Sequence
@@ -42,6 +43,28 @@ class Perm:
 
     def __lt__(self, other: "Perm") -> bool:
         return (len(self), self.values) < (len(other), other.values)
+
+    @cached_property
+    def _host_masks(self) -> tuple[list[int], list[list[int]]]:
+        """The `contains` data of self as a host, made on first use: its
+        `_below_masks` lt, and for each quadrant q and count t, rows[q][t],
+        the bitmask of the indices whose q-th `_quadrants` count is >= t."""
+        lt = _below_masks(self.values)
+        a, b, c, d = ([0] * len(self) for _ in range(4))  # by quadrant, then count
+        for x, (e, f, g, h) in enumerate(_quadrants(self.values, lt)):
+            bit = 1 << x
+            a[e] |= bit
+            b[f] |= bit
+            c[g] |= bit
+            d[h] |= bit
+        # suffix unions: a[t] becomes the indices whose first count is >= t, ...
+        return lt, [list(accumulate(row[::-1], or_))[::-1] for row in (a, b, c, d)]
+
+    @cached_property
+    def _pattern_data(self) -> tuple[list[tuple[int, int, int, int]], _Refs]:
+        """The `contains` data of self as a pattern, made on first use: its
+        `_quadrants` and its `_bounding_refs`."""
+        return _quadrants(self.values, _below_masks(self.values)), _bounding_refs(self.values)
 
     @classmethod
     def from_text(cls, text: str) -> "Perm":
@@ -216,22 +239,6 @@ def _quadrants(vals: Sequence[int], lt: Sequence[int]) -> list[tuple[int, int, i
     return out
 
 
-def _quadrant_candidates(pv: Sequence[int], hv: Sequence[int], lt: Sequence[int]) -> list[int]:
-    """For each index j of the pattern values pv, the bitmask of the host
-    indices whose four `_quadrants` counts are each at least entry j's; lt is
-    the host's `_below_masks`.  Needs len(pv) <= len(hv)."""
-    a, b, c, d = ([0] * len(hv) for _ in range(4))  # by quadrant, then count
-    for x, (e, f, g, h) in enumerate(_quadrants(hv, lt)):
-        bit = 1 << x
-        a[e] |= bit
-        b[f] |= bit
-        c[g] |= bit
-        d[h] |= bit
-    # suffix unions: a[t] becomes the indices whose first count is >= t, ...
-    a, b, c, d = (list(accumulate(row[::-1], or_))[::-1] for row in (a, b, c, d))
-    return [a[e] & b[f] & c[g] & d[h] for e, f, g, h in _quadrants(pv, _below_masks(pv))]
-
-
 def contains(pat: Perm, host: Perm) -> bool:
     """True iff host has a subsequence order-isomorphic to pat.
 
@@ -248,16 +255,26 @@ def contains(pat: Perm, host: Perm) -> bool:
     them, as the windows of `_occurs_split` do.  The backjump argument there
     holds unchanged, because each cand[j] is fixed for the whole search, as
     the windows are.  If some cand[j] is empty, there is no occurrence.
+
+    Only the pairing is made per call: the k mask ANDs that give cand, and
+    the search.  What depends on one operand alone is made once per `Perm`
+    and kept on it.  The host half, `Perm._host_masks`, holds lt and the
+    host's quadrant masks: for each quadrant and count t, the indices whose
+    count there is at least t.  The pattern half, `Perm._pattern_data`,
+    holds the pattern's quadrant counts and its `_bounding_refs`.  Keeping
+    them is sound because a `Perm`'s values never change, and ==, hash and
+    repr read only the values.  Nothing is shared between equal `Perm`s;
+    the data lives as long as the `Perm` it belongs to.
     """
     pv, hv = pat.values, host.values
     k, n = len(pv), len(hv)
     if k > n:
         return False
-    lt = _below_masks(hv)
-    cand = _quadrant_candidates(pv, hv, lt)
+    lt, (a, b, c, d) = host._host_masks
+    quads, (lo_ref, hi_ref, back) = pat._pattern_data
+    cand = [a[e] & b[f] & c[g] & d[h] for e, f, g, h in quads]
     if not all(cand):
         return False
-    lo_ref, hi_ref, back = _bounding_refs(pv)
     chosen = [0] * k
     j = i = 0  # entry j is tried at host indices i, i + 1, ...
     while j < k:

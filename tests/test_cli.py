@@ -52,13 +52,6 @@ class TestCount:
         )
         assert out.splitlines() == ["n,count", "1,1", "2,2", "3,5"]
 
-    def test_bfile_round_trips(self, capsys):
-        code, out, _ = run(
-            capsys, "count", "--avoid", "123,3214", "--max-n", "8"
-        )
-        assert code == 0
-        assert _parse_sequence_text(out) == [1, 2, 5, 13, 34, 89, 233, 610]
-
     def test_semicolon_list_with_long_perms(self, capsys):
         code, out, _ = run(
             capsys, "count", "--avoid", f"123;{MU11}", "--max-n", "4",

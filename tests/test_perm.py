@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +18,6 @@ from permclass.perm import (
     _below_masks,
     _bounding_refs,
     _occurs_split,
-    _quadrant_candidates,
     _quadrants,
     complement,
     contains,
@@ -38,7 +42,7 @@ from conftest import (
     plain_occurs_split,
 )
 
-from permclass.antichain import SHORT_BASIS, mu
+from permclass.antichain import SHORT_BASIS, is_antichain, mu
 
 p = Perm.from_text
 
@@ -206,6 +210,76 @@ class TestContainsDifferential:
                 assert contains(a, b) == reference_contains(a, b), (a, b)
 
 
+def reuse_pool():
+    """Fresh `Perm` objects: the short basis, mu(7..31), every permutation of
+    length <= 5, and seeded random permutations of length 6-20."""
+    rng = random.Random(21)
+    vals = [q.values for q in SHORT_BASIS]
+    vals += [mu(i).values for i in range(7, 32, 2)]
+    vals += [q.values for n in range(6) for q in all_perms(n)]
+    vals += [tuple(rng.sample(range(1, n + 1), n)) for n in range(6, 21) for _ in range(2)]
+    return [Perm(v) for v in dict.fromkeys(vals)]
+
+
+class TestCachedSearchData:
+    """`contains` keeps each operand's search data on the `Perm`; reusing one
+    object as pattern and as host must change no answer and no behaviour."""
+
+    @pytest.mark.parametrize("first", ["host", "pattern"])
+    def test_reuse_matches_reference(self, first):
+        pool = reuse_pool()
+        # give every object its first use in one role, before the pairs
+        anchor = Perm(()) if first == "host" else identity(max(map(len, pool)))
+        cached = "_host_masks" if first == "host" else "_pattern_data"
+        for x in pool:
+            pat, host = (anchor, x) if first == "host" else (x, anchor)
+            assert contains(pat, host) == reference_contains(pat, host)
+            assert vars(x).keys() == {"values", cached}
+        for pat in pool:
+            for host in pool:
+                want = reference_contains(pat, host)
+                assert contains(pat, host) == want, (pat, host)
+                assert contains(Perm(pat.values), Perm(host.values)) == want, (pat, host)
+
+    def test_searched_perm_behaves_as_before(self):
+        used = [Perm(q.values) for q in (mu(9), p("2413"), p("1"), EMPTY)]
+        for a in used:
+            for b in used:
+                contains(a, b)
+        assert all({"_host_masks", "_pattern_data"} <= vars(q).keys() for q in used)
+        for q in used:
+            fresh = Perm(q.values)
+            assert q == fresh and hash(q) == hash(fresh)
+            assert repr(q) == repr(fresh) and str(q) == str(fresh)
+            for twin in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+                assert twin == q and hash(twin) == hash(q)
+                assert contains(twin, q) and contains(q, twin)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                q.values = (1,)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                q._host_masks = None
+        assert ([x.values for x in sorted(used)]
+                == [x.values for x in sorted(Perm(q.values) for q in used)]
+                == [(), (1,), (2, 4, 1, 3), mu(9).values])
+        assert [f.name for f in dataclasses.fields(Perm)] == ["values"]
+
+    def test_antichain_witness_in_long_family(self):
+        # the restriction sorts between mu(19) and mu(21): it is a host for
+        # the shorter items before it is a pattern for the longer ones
+        planted = restriction(mu(41), range(1, 41, 2))
+        assert len(planted) == 20
+        family = [*SHORT_BASIS, *(mu(i) for i in range(7, 42, 2)), planted]
+        ok, witness = is_antichain(family)
+        assert not ok
+        a, b = witness
+        assert a < b and reference_contains(a, b)
+        items = sorted(set(family))
+        first = next((x, y) for i, x in enumerate(items) for y in items[i + 1:]
+                     if reference_contains(x, y))
+        assert witness == first
+        assert a == planted
+
+
 class TestQuadrantLemma:
     @given(perms(max_size=9))
     def test_quadrant_counts(self, q):
@@ -230,8 +304,22 @@ class TestQuadrantLemma:
         idx = sorted(data.draw(st.lists(st.integers(0, len(host) - 1), min_size=k,
                                         max_size=k, unique=True)))
         pat = pattern_of(host.values[i] for i in idx)
-        cand = _quadrant_candidates(pat.values, host.values, _below_masks(host.values))
+        _, (a, b, c, d) = host._host_masks
+        quads, _ = pat._pattern_data
+        cand = [a[e] & b[f] & c[g] & d[h] for e, f, g, h in quads]
         assert all(cand[j] >> x & 1 for j, x in enumerate(idx))
+
+    @given(perms(max_size=9))
+    def test_host_masks(self, q):
+        # rows[r][t] holds the indices whose r-th quadrant count is >= t
+        v = q.values
+        lt, rows = q._host_masks
+        assert lt == _below_masks(v)
+        quads = _quadrants(v, lt)
+        assert rows == [
+            [sum(1 << x for x in range(len(v)) if quads[x][r] >= t) for t in range(len(v))]
+            for r in range(4)
+        ]
 
 
 class TestBackjump:
