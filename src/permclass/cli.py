@@ -1,7 +1,8 @@
 """Command-line front end.
 
 All data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 domain error, 2 usage error.  Output is deterministic for a fixed
+1 domain error (also an interrupt or running out of memory, reported as one
+line), 2 usage error.  Output is deterministic for a fixed
 invocation: collections are sorted before printing and nothing is
 timestamped.
 
@@ -356,6 +357,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (PermclassError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -6,10 +6,12 @@ level n >= 1 is made of the one-point extensions (insert the new maximum n)
 of level n - 1, which is sound because avoidance classes are downward
 closed; level 0 is {()} unless () is in the basis.  A level is a list of
 value tuples, each with its active sites (where the next maximum can go).
-A child's sites are found among its parent's, each tested by a search on
-the parent with the two new maxima pinned; so a level's size is the number
-of active sites one level down, `count_avoiders` never builds its last
-level, and `Perm`s are made only for the level `enumerate_avoiders` returns.
+A child's sites are found among its parent's, each tested by `perm._search`,
+the search `contains` runs, on the parent: the two new maxima are pinned,
+and each other entry is held to one segment of the parent by its mask; so
+a level's size is the number of active sites one level down,
+`count_avoiders` never builds its last level, and `Perm`s are made only for
+the level `enumerate_avoiders` returns.
 Downward closures are not built here: `antichain` fills them in by one-point
 deletion.
 The five-state insertion machine is hard-wired to the quadruple
@@ -63,7 +65,9 @@ def avoider_levels(basis: Iterable[Perm]) -> Iterator[_Level]:
        Such an occurrence exists iff sigma has one of b without its two
        largest entries, cut into three segments where those entries go: at
        indices before min(q, p), from there to max(q, p), and from there on.
-       The search runs on sigma itself; tau is not built for it.
+       `perm._search` finds it on sigma itself, with each entry's mask the
+       indices of its segment; tau is not built for it, and sigma's
+       `_below_masks` are made once for all its children.
     3. Counting.  Level n + 1 has one member per active site of level n, so
        its size is known before it is built.
 
@@ -80,25 +84,30 @@ def avoider_levels(basis: Iterable[Perm]) -> Iterator[_Level]:
         top = b.values.index(len(b))
         second = b.values.index(len(b) - 1)
         rest = tuple(v for v in b.values if v < len(b) - 1)
+        # the segment (0, 1 or 2, as in step 2) of each entry of rest
         cuts = (min(top, second), max(top, second) - 1)
-        (left if top < second else right).append((P._bounding_refs(rest), cuts))
+        segs = tuple((j >= cuts[0]) + (j >= cuts[1]) for j in range(len(rest)))
+        (left if top < second else right).append((P._bounding_refs(rest), segs))
     level: _Level = [] if 0 in short else [((), () if 1 in short else (0,))]
     yield level
 
-    occurs = P._occurs_split
+    search = P._search
 
-    def active(vals, sites, p):
+    def active(vals, lt, sites, p):
         out = []
         for q in sites:
+            lo, hi = (q, p) if q <= p else (p, q)
+            cut = (1 << lo) - 1  # masks[g]: the indices of segment g
+            masks = (cut, (1 << hi) - 1 - cut, lt[-1] >> hi << hi)
             if q <= p:
-                for refs, cuts in left:
-                    if occurs(refs, vals, cuts, (q, p)):
+                for refs, segs in left:
+                    if search(refs, vals, lt, [masks[g] for g in segs]):
                         break
                 else:
                     out.append(q)
             if q >= p:
-                for refs, cuts in right:
-                    if occurs(refs, vals, cuts, (p, q)):
+                for refs, segs in right:
+                    if search(refs, vals, lt, [masks[g] for g in segs]):
                         break
                 else:
                     out.append(q + 1)
@@ -106,8 +115,9 @@ def avoider_levels(basis: Iterable[Perm]) -> Iterator[_Level]:
 
     for m in count(1):
         level = [
-            (vals[:p] + (m,) + vals[p:], active(vals, sites, p))
+            (vals[:p] + (m,) + vals[p:], active(vals, lt, sites, p))
             for vals, sites in level
+            for lt in [P._below_masks(vals)]  # once per parent
             for p in sites
         ]
         yield level

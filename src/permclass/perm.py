@@ -152,129 +152,38 @@ def _bounding_refs(pv: Sequence[int]) -> _Refs:
     return lo_ref, hi_ref, back
 
 
-def _occurs_split(refs: _Refs, hv: Sequence[int],
-                  splits: Sequence[int] = (), sites: Sequence[int] = ()) -> bool:
+def _search(refs: _Refs, hv: Sequence[int], lt: Sequence[int],
+            cand: Sequence[int]) -> bool:
     """True iff the host values hv (a permutation of 1..len(hv)) have an
-    occurrence of the pattern whose `_bounding_refs` are refs, cut into
-    segments: with splits = (c_1, ..., c_r) and sites = (s_1, ..., s_r), both
-    non-decreasing, the pattern entries at indices in [c_g, c_{g+1}) lie at
-    host indices in [s_g, s_{g+1}), where c_0 = s_0 = 0, c_{r+1} is the
-    pattern length and s_{r+1} = len(hv).  No cuts means plain containment;
-    the enumeration engine runs it with cuts, and the tests run it with none
-    as the reference for `contains`, which has a search of its own.
+    occurrence of the pattern whose `_bounding_refs` are refs, with entry j
+    at a host index in the bitmask cand[j].  lt is the host's
+    `_below_masks`.  `contains` passes the indices that pass its quadrant
+    filter; the enumeration engine passes each entry the segment of the
+    parent it must lie in.
 
-    Depth-first search over candidate positions, kept on an explicit stack
-    (`chosen`): each candidate value must lie strictly between the
+    Depth-first search over host indices, kept on an explicit stack
+    (`chosen`).  Each candidate value must lie strictly between the
     already-matched values that tightest-bound the pattern value from below
-    and above, which prunes hard on long hosts.  Each entry's first and last
-    admissible index (its segment, less room for the segment's later
-    entries) are worked out once per call, so the search itself reads them.
+    and above, which prunes hard on long hosts.  Host indices are sets of
+    bits: lt[c] holds those whose value is below c, so the admissible
+    indices for entry j, from index i on, are one mask, and its lowest bit
+    is the next placement.
 
     When entry j cannot be placed, the search backjumps to entry back[j],
     the nearest earlier entry that bounds some entry, instead of moving
-    entry j - 1 on.  This loses no occurrence.  The entries j, j + 1, ...
-    can be placed only through their start index (one past the index of
-    entry j - 1, or the segment start), the fixed windows, and the values of
-    the earlier entries that bound them.  If entry j - 1 bounds no entry,
-    moving it right changes only the start index, and a larger start index
-    leaves a subset of the placements, so entry j fails again.  So no
-    placement of entry j - 1 leads to an occurrence, and the same argument,
-    with entry j - 1 in place of entry j, passes over each entry down to
-    back[j].  With back[j] = -1 no placement of entry 0 leads anywhere.
+    entry j - 1 on.  This loses no occurrence, for any fixed masks.  The
+    entries j, j + 1, ... can be placed only through their start index (one
+    past the index of entry j - 1), the masks cand[j], cand[j + 1], ...,
+    and the values of the earlier entries that bound them.  If entry j - 1
+    bounds no entry, moving it right changes only the start index, and a
+    larger start index leaves a subset of the placements, so entry j fails
+    again.  So no placement of entry j - 1 leads to an occurrence, and the
+    same argument, with entry j - 1 in place of entry j, passes over each
+    entry down to back[j].  With back[j] = -1 no placement of entry 0 leads
+    anywhere.
     """
     lo_ref, hi_ref, back = refs
     k, n = len(lo_ref), len(hv)
-    starts: list[int] = []
-    stops: list[int] = []
-    a = s = 0
-    for b, t in zip((*splits, k), (*sites, n)):
-        for j in range(a, b):
-            starts.append(s)
-            stops.append(t - b + j + 1)
-        a, s = b, t
-    chosen = [0] * k
-    j = i = 0  # entry j is tried at host indices i, i + 1, ...
-    while j < k:
-        lo, hi = lo_ref[j], hi_ref[j]
-        floor = 0 if lo is None else hv[chosen[lo]]
-        ceiling = n + 1 if hi is None else hv[chosen[hi]]
-        stop = stops[j]
-        if i < starts[j]:
-            i = starts[j]
-        while i < stop and not floor < hv[i] < ceiling:
-            i += 1
-        if i < stop:  # entry j placed: go on to entry j + 1
-            chosen[j] = i
-            j += 1
-            i += 1
-        else:  # entry j cannot be placed: move entry back[j] on
-            j = back[j]
-            if j < 0:
-                return False
-            i = chosen[j] + 1
-    return True
-
-
-def _below_masks(vals: Sequence[int]) -> list[int]:
-    """lt[c] for c = 0, ..., n + 1: the bitmask of the indices of the
-    permutation values vals (of 1..n) whose value is below c."""
-    where = [0] * (len(vals) + 1)
-    for x, v in enumerate(vals):
-        where[v] = x
-    lt = [0, 0]
-    for x in where[1:]:
-        lt.append(lt[-1] | 1 << x)
-    return lt
-
-
-def _quadrants(vals: Sequence[int], lt: Sequence[int]) -> list[tuple[int, int, int, int]]:
-    """For each index x of the permutation values vals, with lt their
-    `_below_masks`, the numbers of entries earlier and below, earlier and
-    above, later and below, and later and above entry x."""
-    n = len(vals)
-    out = []
-    for x, w in enumerate(vals):
-        eb = (lt[w] & ((1 << x) - 1)).bit_count()
-        out.append((eb, x - eb, w - 1 - eb, n - w - x + eb))
-    return out
-
-
-def contains(pat: Perm, host: Perm) -> bool:
-    """True iff host has a subsequence order-isomorphic to pat.
-
-    The search of `_occurs_split` with no cuts and the same backjumps, with
-    two changes.  Host indices are sets of bits: lt[c] holds those whose
-    value is below c, so the admissible indices for entry j, from index i
-    on, are one mask, and its lowest bit is the next placement.  And entry j
-    may go only to the indices in cand[j]: those whose quadrant counts
-    (earlier/later entries, below/above in value) are each at least entry
-    j's.  That loses no occurrence (the quadrant lemma): an occurrence sends
-    the entries before and below entry j one-to-one to entries before and
-    below the image of j, and likewise in the other three quadrants.  Since
-    every entry after j needs a later host index, this also keeps room for
-    them, as the windows of `_occurs_split` do.  The backjump argument there
-    holds unchanged, because each cand[j] is fixed for the whole search, as
-    the windows are.  If some cand[j] is empty, there is no occurrence.
-
-    Only the pairing is made per call: the k mask ANDs that give cand, and
-    the search.  What depends on one operand alone is made once per `Perm`
-    and kept on it.  The host half, `Perm._host_masks`, holds lt and the
-    host's quadrant masks: for each quadrant and count t, the indices whose
-    count there is at least t.  The pattern half, `Perm._pattern_data`,
-    holds the pattern's quadrant counts and its `_bounding_refs`.  Keeping
-    them is sound because a `Perm`'s values never change, and ==, hash and
-    repr read only the values.  Nothing is shared between equal `Perm`s;
-    the data lives as long as the `Perm` it belongs to.
-    """
-    pv, hv = pat.values, host.values
-    k, n = len(pv), len(hv)
-    if k > n:
-        return False
-    lt, (a, b, c, d) = host._host_masks
-    quads, (lo_ref, hi_ref, back) = pat._pattern_data
-    cand = [a[e] & b[f] & c[g] & d[h] for e, f, g, h in quads]
-    if not all(cand):
-        return False
     chosen = [0] * k
     j = i = 0  # entry j is tried at host indices i, i + 1, ...
     while j < k:
@@ -293,6 +202,55 @@ def contains(pat: Perm, host: Perm) -> bool:
                 return False
             i = chosen[j] + 1
     return True
+
+
+def _below_masks(vals: Sequence[int]) -> list[int]:
+    """lt[c] for c = 0, ..., n + 1: the bitmask of the indices of the
+    permutation values vals (of 1..n) whose value is below c."""
+    bits = [0] * (len(vals) + 1)  # bits[v]: the index of value v, as a bit
+    for x, v in enumerate(vals):
+        bits[v] = 1 << x
+    return [0, *accumulate(bits, or_)]
+
+
+def _quadrants(vals: Sequence[int], lt: Sequence[int]) -> list[tuple[int, int, int, int]]:
+    """For each index x of the permutation values vals, with lt their
+    `_below_masks`, the numbers of entries earlier and below, earlier and
+    above, later and below, and later and above entry x."""
+    n = len(vals)
+    out = []
+    for x, w in enumerate(vals):
+        eb = (lt[w] & ((1 << x) - 1)).bit_count()
+        out.append((eb, x - eb, w - 1 - eb, n - w - x + eb))
+    return out
+
+
+def contains(pat: Perm, host: Perm) -> bool:
+    """True iff host has a subsequence order-isomorphic to pat.
+
+    `_search` with entry j allowed only the indices in cand[j]: those whose
+    quadrant counts (earlier/later entries, below/above in value) are each
+    at least entry j's.  That loses no occurrence (the quadrant lemma): an
+    occurrence sends the entries before and below entry j one-to-one to
+    entries before and below the image of j, and likewise in the other
+    three quadrants.  If some cand[j] is empty, there is no occurrence.
+
+    Only the pairing is made per call: the k mask ANDs that give cand, and
+    the search.  What depends on one operand alone is made once per `Perm`
+    and kept on it.  The host half, `Perm._host_masks`, holds lt and the
+    host's quadrant masks: for each quadrant and count t, the indices whose
+    count there is at least t.  The pattern half, `Perm._pattern_data`,
+    holds the pattern's quadrant counts and its `_bounding_refs`.  Keeping
+    them is sound because a `Perm`'s values never change, and ==, hash and
+    repr read only the values.  Nothing is shared between equal `Perm`s;
+    the data lives as long as the `Perm` it belongs to.
+    """
+    if len(pat.values) > len(host.values):
+        return False
+    lt, (a, b, c, d) = host._host_masks
+    quads, refs = pat._pattern_data
+    cand = [a[e] & b[f] & c[g] & d[h] for e, f, g, h in quads]
+    return all(cand) and _search(refs, host.values, lt, cand)
 
 
 def inverse(p: Perm) -> Perm:

@@ -110,9 +110,17 @@ def brute_contains_through_two_new_maxima(pat, q, p, s):
 
 def plain_occurs_split(refs, hv: Sequence[int],
                        splits: Sequence[int] = (), sites: Sequence[int] = ()) -> bool:
-    """`perm._occurs_split` with chronological backtracking: the same
-    search, but an entry that cannot be placed always moves entry j - 1 on.
-    refs is (lo_ref, hi_ref) from `perm._bounding_refs`."""
+    """Whether the host values hv have an occurrence of the pattern whose
+    (lo_ref, hi_ref) from `perm._bounding_refs` are refs, cut into segments:
+    with splits = (c_1, ..., c_r) and sites = (s_1, ..., s_r), both
+    non-decreasing, the pattern entries at indices in [c_g, c_{g+1}) lie at
+    host indices in [s_g, s_{g+1}), where c_0 = s_0 = 0, c_{r+1} is the
+    pattern length and s_{r+1} = len(hv); no cuts means plain containment.
+
+    The reference for `perm._search`, with the masks of `segment_masks`:
+    a scan of one index at a time in each entry's window (its segment, less
+    room for the segment's later entries), with chronological backtracking,
+    where an entry that cannot be placed always moves entry j - 1 on."""
     lo_ref, hi_ref = refs
     k, n = len(lo_ref), len(hv)
     starts: list[int] = []
@@ -144,6 +152,29 @@ def plain_occurs_split(refs, hv: Sequence[int],
             j -= 1
             i = chosen[j] + 1
     return True
+
+
+def segment_masks(k: int, n: int, splits: Sequence[int] = (),
+                  sites: Sequence[int] = ()) -> list[int]:
+    """The masks for `perm._search` that hold a length-k pattern to the
+    segments of a length-n host that `plain_occurs_split` takes as splits
+    and sites: entry j in [c_g, c_{g+1}) gets the indices in [s_g, s_{g+1})."""
+    masks: list[int] = []
+    a = s = 0
+    for b, t in zip((*splits, k), (*sites, n)):
+        masks += [(1 << t) - (1 << s)] * (b - a)
+        a, s = b, t
+    return masks
+
+
+def brute_search(pat, host, cand) -> bool:
+    """Whether host has an occurrence of pat with entry j at an index in the
+    bitmask cand[j], from all index subsets."""
+    return any(
+        all(cand[j] >> x & 1 for j, x in enumerate(idx))
+        and pattern_of(tuple(host.values[x] for x in idx)) == pat
+        for idx in combinations(range(len(host)), len(pat))
+    )
 
 
 def brute_active_sites(basis, vals):

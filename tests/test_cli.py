@@ -2,8 +2,11 @@ import io
 import json
 import os
 import re
+import resource
+import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -20,6 +23,14 @@ from permclass.errors import InvalidSequence
 
 MU11 = "8,11,10,6,9,4,7,1,5,3,2"  # permclass mu 11
 MU13 = "10,13,12,8,11,6,9,4,7,1,5,3,2"  # permclass mu 13
+
+
+def _child_env():
+    """The environment of a `permclass.cli` child process: this checkout's
+    library, and stdout buffered as it is in a pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(permclass.__file__).parents[1])
+    return env
 
 
 def run(capsys, *argv):
@@ -382,11 +393,9 @@ class TestExitCodes:
     def test_reader_closes_pipe(self, index, lines):
         # `permclass mu 7..2001 | head -1`, and `permclass mu 7 | true`, whose
         # one line waits in the stdout buffer for the flush at exit
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(Path(permclass.__file__).parents[1])
         with subprocess.Popen(
             [sys.executable, "-m", "permclass.cli", "mu", index],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
         ) as proc:
             for _ in range(lines):
                 assert proc.stdout.readline().startswith(b"7 ")
@@ -394,6 +403,38 @@ class TestExitCodes:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 1
         assert err == b""
+
+    def test_interrupted_count(self):
+        # the child says "ready" just before main, so the SIGINT lands in
+        # the enumeration, not in the imports
+        code = ("import sys; from permclass.cli import main; "
+                "print('ready', flush=True); sys.exit(main(sys.argv[1:]))")
+        with subprocess.Popen(
+            [sys.executable, "-c", code, "count", "--avoid", "1324", "--max-n", "16"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
+        ) as proc:
+            try:
+                assert proc.stdout.readline() == b"ready\n"
+                time.sleep(0.5)
+                proc.send_signal(signal.SIGINT)
+                out, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()  # does nothing once the child has exited
+        assert (proc.returncode, out) == (1, b"")
+        assert err == b"error: interrupted\n"
+
+    def test_out_of_memory(self):
+        # mu(200000001) builds a 200000001-tuple; the address-space limit is
+        # set in the child only
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "permclass.cli", "mu", "200000001"],
+            capture_output=True, env=_child_env(), preexec_fn=limit, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == b"error: out of memory\n"
 
     def test_comma_form_lists_parse(self, capsys):
         for argv in (

@@ -126,6 +126,17 @@ class TestCounts:
     def test_catalan(self):
         assert count_avoiders([p("123")], 7) == [catalan(n) for n in range(1, 8)]
 
+    def test_separable_schroeder(self):
+        # Av(2413, 3142) counts the large Schroeder numbers r_{n-1}, from
+        # (n + 1) r_n = 3(2n - 1) r_{n-1} - (n - 2) r_{n-2}; the two basis
+        # elements hold the entries left of both maxima, between them and
+        # right of them, so every segment mask is used
+        r = [1, 2]
+        for n in range(2, 10):
+            r.append((3 * (2 * n - 1) * r[n - 1] - (n - 2) * r[n - 2]) // (n + 1))
+        assert count_avoiders([p("2413"), p("3142")], 10) == r
+        assert r[-1] == 206098
+
     def test_quad_13(self):
         assert count_avoiders(QUAD_BASIS, 13)[-1] == abcde_counts(13)[-1] == 24656
 

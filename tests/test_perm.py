@@ -17,8 +17,8 @@ from permclass.perm import (
     EMPTY,
     _below_masks,
     _bounding_refs,
-    _occurs_split,
     _quadrants,
+    _search,
     complement,
     contains,
     delete,
@@ -36,10 +36,12 @@ from conftest import (
     all_perms,
     brute_contains_through_new_max,
     brute_contains_through_two_new_maxima,
+    brute_search,
     contains_oracle,
     perms,
     perms_of,
     plain_occurs_split,
+    segment_masks,
 )
 
 from permclass.antichain import SHORT_BASIS, is_antichain, mu
@@ -129,7 +131,8 @@ class TestContains:
         pos = data.draw(st.integers(0, len(q)))
         top = pat.values.index(len(pat))
         rest = pat.values[:top] + pat.values[top + 1:]
-        got = _occurs_split(_bounding_refs(rest), q.values, (top,), (pos,))
+        cand = segment_masks(len(rest), len(q), (top,), (pos,))
+        got = _search(_bounding_refs(rest), q.values, _below_masks(q.values), cand)
         assert got == brute_contains_through_new_max(pat, q, pos)
 
     @given(perms(min_size=2, max_size=5), perms(max_size=7), st.data())
@@ -149,12 +152,15 @@ class TestContains:
         rest = tuple(v for v in pat.values if v < len(pat) - 1)
         cuts = (min(top, second), max(top, second) - 1)
         sites = (s, p) if s <= p else (p, s - 1)
-        assert _occurs_split(_bounding_refs(rest), q.values, cuts, sites) == want
+        cand = segment_masks(len(rest), len(q), cuts, sites)
+        assert _search(_bounding_refs(rest), q.values, _below_masks(q.values), cand) == want
 
 
 def reference_contains(pat, host):
-    """`_occurs_split` with no cuts: the scan that `contains` replaces."""
-    return len(pat) <= len(host) and _occurs_split(_bounding_refs(pat.values), host.values)
+    """`plain_occurs_split` with no cuts: a scan with neither bitmasks, the
+    quadrant filter nor backjumps."""
+    return len(pat) <= len(host) and plain_occurs_split(
+        _bounding_refs(pat.values)[:2], host.values)
 
 
 @st.composite
@@ -332,7 +338,18 @@ class TestBackjump:
         sites = sorted(data.draw(st.lists(st.integers(0, n), min_size=r, max_size=r)))
         refs = _bounding_refs(pat.values)
         want = plain_occurs_split(refs[:2], host.values, splits, sites)
-        assert _occurs_split(refs, host.values, splits, sites) == want
+        cand = segment_masks(k, n, splits, sites)
+        assert _search(refs, host.values, _below_masks(host.values), cand) == want
+
+    @given(perms(min_size=1, max_size=6), perms(max_size=10), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_masks_match_oracle(self, pat, host, data):
+        # the backjumps lose no occurrence whatever fixed masks entry j is
+        # held to, not only segments and quadrant candidates
+        cand = data.draw(st.lists(st.integers(0, (1 << len(host)) - 1),
+                                  min_size=len(pat), max_size=len(pat)))
+        got = _search(_bounding_refs(pat.values), host.values, _below_masks(host.values), cand)
+        assert got == brute_search(pat, host, cand)
 
     @staticmethod
     def bounds(pv, t):
